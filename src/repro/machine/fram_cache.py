@@ -41,11 +41,12 @@ class FramReadCache:
 
     def access(self, address):
         """Record a read of *address*; returns True on hit."""
-        index, tag = self._locate(address)
-        ways = self._lines[index]
+        tag = address // self.line_bytes
+        ways = self._lines[tag % self.sets]
         if tag in ways:
-            ways.remove(tag)
-            ways.append(tag)
+            if ways[-1] != tag:  # already most recently used: order stands
+                ways.remove(tag)
+                ways.append(tag)
             self.hits += 1
             return True
         self.misses += 1

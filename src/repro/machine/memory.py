@@ -30,6 +30,11 @@ class RegionKind(Enum):
     MMIO = "mmio"
     UNMAPPED = "unmapped"
 
+    def __init__(self, value):
+        #: Dense index in definition order: this kind's column in the
+        #: flat tallies of :class:`~repro.machine.trace.AccessCounters`.
+        self.slot = len(type(self).__members__)
+
 
 @dataclass(frozen=True)
 class Region:

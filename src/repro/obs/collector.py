@@ -29,6 +29,12 @@ from repro.isa.registers import PC, SP
 from repro.machine.memory import RegionKind
 from repro.machine.trace import Attribution
 
+#: Cycle-tally slots, read eight times per step.
+_APP = Attribution.APP.slot
+_RUNTIME = Attribution.RUNTIME.slot
+_MEMCPY = Attribution.MEMCPY.slot
+_STARTUP = Attribution.STARTUP.slot
+
 
 @dataclass
 class FunctionProfile:
@@ -235,16 +241,16 @@ class Collector:
         cpu = self.cpu
         regs = cpu.regs
         counters = self.counters
-        cycles = counters.cycles
+        cycles = counters.cycle_counts
 
         pc = regs[PC]
         name = self.funcmap.resolve(pc)
         self._sync_stack(name, regs[SP])
 
-        app0 = cycles[Attribution.APP]
-        run0 = cycles[Attribution.RUNTIME]
-        mem0 = cycles[Attribution.MEMCPY]
-        start0 = cycles[Attribution.STARTUP]
+        app0 = cycles[_APP]
+        run0 = cycles[_RUNTIME]
+        mem0 = cycles[_MEMCPY]
+        start0 = cycles[_STARTUP]
         stall0 = counters.stall_cycles
         fr0, fw0, sr0 = self._fram_reads, self._fram_writes, self._sram
         # Board-level instruction count: real executed instructions plus
@@ -257,9 +263,9 @@ class Collector:
         profile = self.profiles.get(name)
         if profile is None:
             profile = self.profiles[name] = FunctionProfile(name)
-        app = cycles[Attribution.APP] - app0 + cycles[Attribution.STARTUP] - start0
-        run = cycles[Attribution.RUNTIME] - run0
-        mem = cycles[Attribution.MEMCPY] - mem0
+        app = cycles[_APP] - app0 + cycles[_STARTUP] - start0
+        run = cycles[_RUNTIME] - run0
+        mem = cycles[_MEMCPY] - mem0
         stalls = counters.stall_cycles - stall0
         total = app + run + mem + stalls
         profile.instructions += counters.total_instructions - retired0

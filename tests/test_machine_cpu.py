@@ -404,11 +404,13 @@ def test_runaway_program_raises():
 
 # -- decode-cache invalidation ---------------------------------------------------
 #
-# The decode cache memoises (snapshot, instruction, length, cycles) per
-# PC and revalidates the snapshot against live memory bytes on every
-# hit. These regressions pin the two ways SwapRAM rewrites live SRAM
-# under the cache -- whole-function memcpy into a cache slot, and
-# relocation patching of an already-copied instruction -- plus the
+# The decode cache memoises (snapshot, execute, instruction, length,
+# cycles) per PC -- ``execute`` is the instruction's executor, bound at
+# decode -- and revalidates the snapshot against live memory bytes on
+# every hit. These regressions pin the two ways SwapRAM rewrites live
+# SRAM under the cache -- whole-function memcpy into a cache slot, and
+# relocation patching of an already-copied instruction -- that a
+# rewrite to a different opcode rebinds the executor, plus the
 # cold-cache guarantee across a power cycle.
 
 
@@ -458,6 +460,41 @@ def test_decode_cache_invalidated_by_reloc_patch():
     cpu.regs[PC] = slot
     cpu.step()
     assert cpu.regs[12] == 0x2222
+
+
+def test_decode_cache_rebinds_executor_on_opcode_rewrite():
+    """An in-place rewrite to another opcode of the same length must run
+    the new instruction's executor, not the one bound at first decode."""
+    board = fr2355_board()
+    cpu, memory = board.cpu, board.memory
+    slot = 0x2100
+    length = _write_instruction(memory, slot, "MOV #0x1111, R12")
+    cpu.regs[PC] = slot
+    cpu.step()
+    assert cpu.regs[12] == 0x1111
+
+    assert _write_instruction(memory, slot, "ADD #0x1111, R12") == length
+    cpu.regs[PC] = slot
+    cpu.step()
+    assert cpu.regs[12] == 0x2222
+
+
+def test_decode_cache_rewritten_jump_flips_branch():
+    """JMP rewritten in place to JNE with Z set: the cached JMP was
+    taken, the new JNE is not."""
+    board = fr2355_board()
+    cpu, memory = board.cpu, board.memory
+    slot, target = 0x2100, 0x2110
+    _write_instruction(memory, slot, f"JMP {target:#x}")
+    cpu.regs[SR] = 0x0002  # Z
+    cpu.regs[PC] = slot
+    cpu.step()
+    assert cpu.regs[PC] == target
+
+    _write_instruction(memory, slot, f"JNE {target:#x}")
+    cpu.regs[PC] = slot
+    cpu.step()
+    assert cpu.regs[PC] == slot + 2
 
 
 def test_decode_cache_dropped_across_power_cycle():
