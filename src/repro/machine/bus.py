@@ -2,7 +2,9 @@
 
 Every CPU (and runtime) access flows through here. The bus
 
-* categorises the access into :class:`AccessCounters`;
+* categorises the access into :class:`AccessCounters` -- adding it to
+  the flat tally itself, or through ``record_fetch``/``record_data``
+  for counters that clear ``bus_tallies`` (the power fuses);
 * models FRAM timing -- frequency-dependent wait states on hardware
   cache misses, plus a one-cycle contention penalty for each FRAM access
   after the first within a single instruction (the single-ported FRAM /
@@ -24,7 +26,15 @@ from repro.machine.memory import (
     PUTC_PORT,
     RegionKind,
 )
-from repro.machine.trace import READ, WRITE, AccessCounters, Attribution
+from repro.machine.trace import (
+    READ,
+    READ_BASE,
+    REGIONS,
+    WRITE,
+    WRITE_BASE,
+    AccessCounters,
+    Attribution,
+)
 
 
 class BusError(Exception):
@@ -122,7 +132,11 @@ class Bus:
         kind = self._kinds[address]
         if kind is RegionKind.UNMAPPED or kind is RegionKind.MMIO:
             raise BusError(f"instruction fetch from {kind.value} at {address:#06x}")
-        self.counters.record_fetch(self.attribution, kind, 1)
+        counters = self.counters
+        if counters.bus_tallies:
+            counters.access_counts[self.attribution.slot * REGIONS + kind.slot] += 1
+        else:
+            counters.record_fetch(self.attribution, kind, 1)
         if kind is RegionKind.FRAM:
             self._fram_read_timing(address)
         return self.memory.read_word(address)
@@ -130,10 +144,23 @@ class Bus:
     def account_fetch(self, address, words):
         """Account a *words*-long fetch without re-reading (decode cache)."""
         kind = self._kinds[address & 0xFFFF]
-        self.counters.record_fetch(self.attribution, kind, words)
+        counters = self.counters
+        if counters.bus_tallies:
+            counters.access_counts[
+                self.attribution.slot * REGIONS + kind.slot
+            ] += words
+        else:
+            counters.record_fetch(self.attribution, kind, words)
         if kind is RegionKind.FRAM:
+            # _fram_read_timing for each word: every word after the
+            # instruction's first FRAM touch contends.
+            stall = self.contention_penalty * (words - (self._fram_touches == 0))
+            self._fram_touches += words
+            access = self.fram_cache.access
             for index in range(words):
-                self._fram_read_timing(address + 2 * index)
+                if not access(address + 2 * index):
+                    stall += self.wait_states
+            counters.stall_cycles += stall
 
     # -- data access ----------------------------------------------------------------
 
@@ -152,7 +179,13 @@ class Bus:
             and self.data_cache.covers(address)
         ):
             return self.data_cache.app_read(address, byte)
-        self.counters.record_data(self.attribution, kind, READ)
+        counters = self.counters
+        if counters.bus_tallies:
+            counters.access_counts[
+                READ_BASE + self.attribution.slot * REGIONS + kind.slot
+            ] += 1
+        else:
+            counters.record_data(self.attribution, kind, READ)
         if kind is RegionKind.MMIO:
             return 0
         if kind is RegionKind.FRAM:
@@ -177,7 +210,13 @@ class Bus:
         ):
             self.data_cache.app_write(address, value, byte)
             return
-        self.counters.record_data(self.attribution, kind, WRITE)
+        counters = self.counters
+        if counters.bus_tallies:
+            counters.access_counts[
+                WRITE_BASE + self.attribution.slot * REGIONS + kind.slot
+            ] += 1
+        else:
+            counters.record_data(self.attribution, kind, WRITE)
         if kind is RegionKind.MMIO:
             self._mmio_write(address, value)
             return

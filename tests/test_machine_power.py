@@ -88,6 +88,26 @@ def test_energy_mirror_matches_post_hoc_model():
     )
 
 
+def test_bus_tally_matches_fused_record_calls():
+    # The bus adds plain counters' accesses itself and calls the fused
+    # counters' record_fetch/record_data; both must tally the same run
+    # identically, runtime charges and memcpy included.
+    from repro.core import build_swapram
+
+    plain = build_swapram(PROGRAM, PLANS["unified"], cache_limit=0x40)
+    fused = build_swapram(PROGRAM, PLANS["unified"], cache_limit=0x40)
+    install_fused_counters(fused.board)
+    assert plain.board.counters.bus_tallies
+    assert not fused.board.counters.bus_tallies
+    assert plain.run().as_dict() == fused.run().as_dict()
+    for name in ("access_counts", "instruction_counts", "cycle_counts"):
+        assert getattr(plain.board.counters, name) == getattr(
+            fused.board.counters, name
+        )
+    assert plain.board.counters.stall_cycles == fused.board.counters.stall_cycles
+    assert plain.stats.misses > 0
+
+
 def test_install_fused_counters_preserves_tallies():
     board = build()
     board.run()

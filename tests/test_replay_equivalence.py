@@ -82,6 +82,7 @@ def assert_cell_identical(
     assert not problems, "\n".join(problems)
     expected = get_benchmark(benchmark).expected
     assert outcome.result.debug_words == expected
+    assert outcome.events == len(engine.document.records)
 
 
 # -- swapram: policy and cache limit are free dimensions --------------------------
