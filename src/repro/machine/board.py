@@ -111,6 +111,9 @@ class Board:
         )
         self.cpu = Cpu(self.bus)
         self.image = None
+        #: Subscribers of the observation seam (:mod:`repro.machine.observe`).
+        self.observers = []
+        self.bus.board = self
 
     # -- setup -----------------------------------------------------------------
 

@@ -89,6 +89,9 @@ class Bus:
         #: (including the cache's own fills and writebacks) always takes
         #: the plain path below. ``None`` costs one comparison.
         self.data_cache = None
+        #: The :class:`~repro.machine.board.Board` this bus is wired into
+        #: (set by the board); bus-side observers subscribe through it.
+        self.board = None
 
     # -- attribution -----------------------------------------------------------
 

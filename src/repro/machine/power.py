@@ -27,6 +27,7 @@ import random
 
 from repro.machine.energy import EnergyModel
 from repro.machine.memory import RegionKind
+from repro.machine.observe import install
 from repro.machine.trace import WRITE, AccessCounters
 
 
@@ -155,8 +156,9 @@ def install_fused_counters(board, energy_model=None):
 
     Works on an already-built board (the CLI watchdog, the experiments
     runner): the replacement is wired into both the board and its bus,
-    and any counts accumulated so far carry over. Returns the fused
-    counters; arm ``cycle_fuse``/``energy_fuse`` on them.
+    and any counts accumulated so far carry over, as do the board's
+    observers. Returns the fused counters; arm
+    ``cycle_fuse``/``energy_fuse`` on them.
     """
     if isinstance(board.counters, FusedAccessCounters):
         return board.counters
@@ -164,6 +166,7 @@ def install_fused_counters(board, energy_model=None):
     fused.restore(board.counters)
     board.counters = fused
     board.bus.counters = fused
+    install(board)
     return fused
 
 

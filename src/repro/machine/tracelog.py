@@ -2,15 +2,19 @@
 
 The aggregate :class:`AccessCounters` suffice for every paper artifact,
 but debugging a cache runtime (or exploring new policies) wants the
-actual access stream. :class:`TraceLog` wraps a bus and records every
-access as ``(sequence, attribution, type, address, region)`` into a
-bounded ring, with filters so a long run does not drown the interesting
-window. It can be attached and detached at any point during a run.
+actual access stream. :class:`TraceLog` subscribes to the bus's
+fetch/read/write events through the observation seam
+(:mod:`repro.machine.observe`) and records every access as
+``(sequence, attribution, type, address, region)`` into a bounded ring,
+with filters so a long run does not drown the interesting window. It
+can be attached and detached at any point during a run, in any order
+with other observers.
 """
 
 from collections import deque
 from dataclasses import dataclass
 
+from repro.machine.observe import observe, unobserve
 from repro.machine.trace import FETCH, READ, WRITE
 
 
@@ -48,47 +52,17 @@ class TraceLog:
         self.kinds = set(kinds) if kinds else None
         self.address_range = address_range
         self.sequence = 0
-        self._original = None
 
     # -- attachment -------------------------------------------------------------
 
     def attach(self):
         """Start logging (idempotent)."""
-        if self._original is not None:
-            return self
-        bus = self.bus
-        self._original = (bus.fetch_word, bus.account_fetch, bus.read, bus.write)
-
-        def fetch_word(address):
-            self._record(FETCH, address)
-            return self._original[0](address)
-
-        def account_fetch(address, words):
-            for index in range(words):
-                self._record(FETCH, address + 2 * index)
-            return self._original[1](address, words)
-
-        def read(address, byte=False):
-            self._record(READ, address)
-            return self._original[2](address, byte=byte)
-
-        def write(address, value, byte=False):
-            self._record(WRITE, address)
-            return self._original[3](address, value, byte=byte)
-
-        bus.fetch_word = fetch_word
-        bus.account_fetch = account_fetch
-        bus.read = read
-        bus.write = write
+        observe(self.bus.board, self)
         return self
 
     def detach(self):
-        """Stop logging and restore the bus."""
-        if self._original is None:
-            return self
-        bus = self.bus
-        bus.fetch_word, bus.account_fetch, bus.read, bus.write = self._original
-        self._original = None
+        """Stop logging (idempotent)."""
+        unobserve(self.bus.board, self)
         return self
 
     def __enter__(self):
@@ -99,6 +73,16 @@ class TraceLog:
         return False
 
     # -- recording -----------------------------------------------------------------
+
+    def on_fetch(self, address, words):
+        for index in range(words):
+            self._record(FETCH, address + 2 * index)
+
+    def on_read(self, address, byte):
+        self._record(READ, address)
+
+    def on_write(self, address, value, byte):
+        self._record(WRITE, address)
 
     def _record(self, access, address):
         self.sequence += 1

@@ -170,9 +170,6 @@ def main(argv=None, out=sys.stdout):
     session = TraceSession.attach(target, events_limit=args.events_limit)
     accesses = None
     if args.accesses is not None:
-        # Satellite access-stream logging rides on the same run: the
-        # TraceLog wraps the collector's bus wrappers, so it must be
-        # detached first (reverse attach order).
         accesses = TraceLog(board.bus, capacity=max(args.accesses, 1)).attach()
     try:
         result = target.run(max_instructions=args.max_instructions)

@@ -1,12 +1,15 @@
 """Per-instruction attribution: profiles and the call tree.
 
-The collector wraps ``cpu.step`` (the same detachable-decorator idiom
-:class:`~repro.machine.tracelog.TraceLog` uses on the bus) and, for each
-executed instruction or native-hook invocation, diffs the board's
-counters to attribute cycles, stalls, attribution-split unstalled
-cycles, and FRAM/SRAM traffic to the function owning the current PC.
-Nothing in the machine layer changes, so a board without a collector
-attached runs the original, unwrapped hot path -- zero overhead.
+The collector subscribes to ``on_step`` through the observation seam
+(:mod:`repro.machine.observe`) and resolves each step's PC to the
+function owning it. A *segment* is a run of steps with the same
+call-stack top; when the top changes (and on detach) the collector
+diffs the tallies the board's counters already keep -- cycles by
+attribution, stalls, instructions, FRAM reads, FRAM writes and SRAM
+traffic -- and attributes the growth to the segment's function. The
+counters sit below the data cache, so the traffic is exactly what
+:class:`~repro.machine.board.RunResult` reports; a crashed or fuse-cut
+run still attributes its partial last step on detach.
 
 Call/return edges are inferred from PC/SP movement:
 
@@ -27,13 +30,39 @@ from dataclasses import dataclass, field
 
 from repro.isa.registers import PC, SP
 from repro.machine.memory import RegionKind
-from repro.machine.trace import Attribution
+from repro.machine.observe import observe, unobserve
+from repro.machine.trace import FETCH, READ, WRITE, Attribution, access_slot
 
-#: Cycle-tally slots, read eight times per step.
 _APP = Attribution.APP.slot
 _RUNTIME = Attribution.RUNTIME.slot
 _MEMCPY = Attribution.MEMCPY.slot
 _STARTUP = Attribution.STARTUP.slot
+
+
+def _slots(kind, *types):
+    """Every attribution's ``access_counts`` slots of *kind* and *types*."""
+    return tuple(access_slot(a, kind, t) for a in Attribution for t in types)
+
+
+_FRAM_READS = _slots(RegionKind.FRAM, FETCH, READ)
+_FRAM_WRITES = _slots(RegionKind.FRAM, WRITE)
+_SRAM = _slots(RegionKind.SRAM, FETCH, READ, WRITE)
+
+
+def _tallies(counters):
+    """The running totals a segment's attribution diffs."""
+    cycles = counters.cycle_counts
+    accesses = counters.access_counts
+    return (
+        cycles[_APP] + cycles[_STARTUP],
+        cycles[_RUNTIME],
+        cycles[_MEMCPY],
+        counters.stall_cycles,
+        sum(counters.instruction_counts),
+        sum(accesses[slot] for slot in _FRAM_READS),
+        sum(accesses[slot] for slot in _FRAM_WRITES),
+        sum(accesses[slot] for slot in _SRAM),
+    )
 
 
 @dataclass
@@ -132,154 +161,68 @@ class _Frame:
 
 
 class Collector:
-    """Wraps a board's CPU step and bus to attribute execution."""
+    """Attributes a board's execution to the functions it runs."""
 
     def __init__(self, board, funcmap, timeline=None):
         self.board = board
         self.cpu = board.cpu
-        self.bus = board.bus
-        self.counters = board.counters
         self.funcmap = funcmap
         self.timeline = timeline
         self.profiles = {}  # name -> FunctionProfile
         self.root = CallNode("<root>")
         self._stack = []
-        self._original_step = None
-        self._original_bus = None
+        self._segment = None  # the frame the open segment runs in
+        self._marks = None  # the counters' tallies when it opened
         self._finished = False
-        # Bus traffic tallies, diffed per instruction.
-        self._fram_reads = 0
-        self._fram_writes = 0
-        self._sram = 0
+        # The seam handler, bound per instance so a class-level wrapper
+        # of _step (a host profiler's) is the one that runs.
+        self.on_step = self._step
 
     # -- attachment ----------------------------------------------------------------
 
     def attach(self):
-        """Wrap the CPU step and bus access methods (idempotent)."""
-        if self._original_step is not None:
-            return self
-        self._original_step = self.cpu.step
-        self._wrap_bus()
-        self.cpu.step = self._step
+        """Subscribe to the board's steps (idempotent)."""
+        observe(self.board, self)
         return self
 
     def detach(self):
-        if self._original_step is None:
-            return self
-        del self.cpu.step  # restore the class method
-        self._original_step = None
-        self._unwrap_bus()
+        """Attribute the open segment and unsubscribe (idempotent)."""
+        self._flush()
+        self._segment = None
+        unobserve(self.board, self)
         return self
 
-    def __enter__(self):
-        return self.attach()
-
-    def __exit__(self, *exc):
-        self.detach()
-        self.finish()
-        return False
-
-    def _wrap_bus(self):
-        bus = self.bus
-        kinds = bus._kinds
-        fram, sram = RegionKind.FRAM, RegionKind.SRAM
-        self._original_bus = (
-            bus.fetch_word,
-            bus.account_fetch,
-            bus.read,
-            bus.write,
-        )
-        orig_fetch, orig_account, orig_read, orig_write = self._original_bus
-
-        def fetch_word(address):
-            kind = kinds[address & 0xFFFF]
-            if kind is fram:
-                self._fram_reads += 1
-            elif kind is sram:
-                self._sram += 1
-            return orig_fetch(address)
-
-        def account_fetch(address, words):
-            kind = kinds[address & 0xFFFF]
-            if kind is fram:
-                self._fram_reads += words
-            elif kind is sram:
-                self._sram += words
-            return orig_account(address, words)
-
-        def read(address, byte=False):
-            kind = kinds[address & 0xFFFF]
-            if kind is fram:
-                self._fram_reads += 1
-            elif kind is sram:
-                self._sram += 1
-            return orig_read(address, byte=byte)
-
-        def write(address, value, byte=False):
-            kind = kinds[address & 0xFFFF]
-            if kind is fram:
-                self._fram_writes += 1
-            elif kind is sram:
-                self._sram += 1
-            return orig_write(address, value, byte=byte)
-
-        bus.fetch_word = fetch_word
-        bus.account_fetch = account_fetch
-        bus.read = read
-        bus.write = write
-
-    def _unwrap_bus(self):
-        if self._original_bus is None:
-            return
-        bus = self.bus
-        bus.fetch_word, bus.account_fetch, bus.read, bus.write = self._original_bus
-        self._original_bus = None
-
-    # -- the wrapped step ----------------------------------------------------------
+    # -- attribution ---------------------------------------------------------------
 
     def _step(self):
-        cpu = self.cpu
-        regs = cpu.regs
-        counters = self.counters
-        cycles = counters.cycle_counts
+        regs = self.cpu.regs
+        self._sync_stack(self.funcmap.resolve(regs[PC]), regs[SP])
+        top = self._stack[-1]
+        if top is not self._segment:
+            self._flush()
+            self._segment = top
 
-        pc = regs[PC]
-        name = self.funcmap.resolve(pc)
-        self._sync_stack(name, regs[SP])
-
-        app0 = cycles[_APP]
-        run0 = cycles[_RUNTIME]
-        mem0 = cycles[_MEMCPY]
-        start0 = cycles[_STARTUP]
-        stall0 = counters.stall_cycles
-        fr0, fw0, sr0 = self._fram_reads, self._fram_writes, self._sram
-        # Board-level instruction count: real executed instructions plus
-        # the runtime's modelled (cost-charged) ones, so per-function
-        # sums match RunResult.instructions exactly.
-        retired0 = counters.total_instructions
-
-        alive = self._original_step()
-
-        profile = self.profiles.get(name)
-        if profile is None:
-            profile = self.profiles[name] = FunctionProfile(name)
-        app = cycles[_APP] - app0 + cycles[_STARTUP] - start0
-        run = cycles[_RUNTIME] - run0
-        mem = cycles[_MEMCPY] - mem0
-        stalls = counters.stall_cycles - stall0
-        total = app + run + mem + stalls
-        profile.instructions += counters.total_instructions - retired0
-        profile.cycles += total
-        profile.stalls += stalls
-        profile.app_cycles += app
-        profile.runtime_cycles += run
-        profile.memcpy_cycles += mem
-        profile.fram_reads += self._fram_reads - fr0
-        profile.fram_writes += self._fram_writes - fw0
-        profile.sram_accesses += self._sram - sr0
-        if self._stack:
-            self._stack[-1].node.cycles += total
-        return alive
+    def _flush(self):
+        """Attribute the counters' growth since the segment opened to it."""
+        marks = _tallies(self.board.counters)
+        frame = self._segment
+        if frame is not None:
+            app, run, mem, stalls, instructions, fram_reads, fram_writes, sram = (
+                now - then for now, then in zip(marks, self._marks)
+            )
+            total = app + run + mem + stalls
+            profile = self.profiles[frame.name]
+            profile.instructions += instructions
+            profile.cycles += total
+            profile.stalls += stalls
+            profile.app_cycles += app
+            profile.runtime_cycles += run
+            profile.memcpy_cycles += mem
+            profile.fram_reads += fram_reads
+            profile.fram_writes += fram_writes
+            profile.sram_accesses += sram
+            frame.node.cycles += total
+        self._marks = marks
 
     def _sync_stack(self, name, sp):
         stack = self._stack

@@ -6,10 +6,11 @@ any runnable the builders produce -- a baseline :class:`Board`, a
 :class:`~repro.blockcache.system.BlockCacheSystem`:
 
 * a :class:`~repro.obs.timeline.Timeline` stamped from the board's
-  counters, handed to the runtime's opt-in ``timeline`` hook;
+  live counters, handed to the runtime's opt-in ``timeline`` hook;
 * a :class:`~repro.obs.funcmap.FunctionMap` built for the system
   flavour (NVM symbols, runtime areas, live SRAM cache state);
-* a :class:`~repro.obs.collector.Collector` wrapping the CPU step.
+* a :class:`~repro.obs.collector.Collector` subscribed to the board's
+  steps through the observation seam (:mod:`repro.machine.observe`).
 
 Typical use::
 
@@ -43,7 +44,7 @@ class TraceSession:
     def attach(cls, target, events_limit=None):
         """Attach tracing to a built (not yet run) system or board."""
         board = getattr(target, "board", target)
-        timeline = Timeline(board.counters, limit=events_limit)
+        timeline = Timeline(board, limit=events_limit)
         funcmap = build_function_map(target)
         collector = Collector(board, funcmap, timeline=timeline).attach()
         runtime = getattr(target, "runtime", None)

@@ -91,18 +91,24 @@ class TimelineEvent:
 class Timeline:
     """An append-only event log stamped from a board's cycle counters.
 
-    *counters* is the board's :class:`AccessCounters`; the stamp is its
-    ``total_cycles`` at record time, so events recorded in order carry
-    monotonically non-decreasing timestamps. *limit* optionally bounds
-    the kept events; once full, further events are counted in
-    ``dropped`` but not stored.
+    *counters* is an :class:`AccessCounters`, or a board, whose current
+    counters are then read at each stamp (so a later
+    :func:`~repro.machine.power.install_fused_counters` is seen). The
+    stamp is ``total_cycles`` at record time, so events recorded in
+    order carry monotonically non-decreasing timestamps. *limit*
+    optionally bounds the kept events; once full, further events are
+    counted in ``dropped`` but not stored.
     """
 
     def __init__(self, counters, limit=None):
-        self.counters = counters
+        self._source = counters
         self.limit = limit
         self.events = []
         self.dropped = 0
+
+    @property
+    def counters(self):
+        return getattr(self._source, "counters", self._source)
 
     @property
     def cycle(self):

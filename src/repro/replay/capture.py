@@ -1,27 +1,26 @@
 """Trace capture: run once through the real CPU, record the event stream.
 
-A :class:`_Recorder` wraps the bus accounting entry points (the same
-attach/detach idiom as :class:`repro.machine.tracelog.TraceLog`) and the
-shared :class:`~repro.machine.trace.AccessCounters`, and rebuilds the
-per-instruction structure the CPU's step loop implies:
+A :class:`_Recorder` subscribes to the machine's observation seam
+(:mod:`repro.machine.observe`) and rebuilds the per-instruction
+structure the CPU's step loop implies:
 
-``begin_instruction`` (application attribution only -- every hook charge
-and runtime access happens inside ``bus.attributed(...)`` blocks and is
+``on_begin`` (application attribution only -- every hook charge and
+runtime access happens inside ``bus.attributed(...)`` blocks and is
 deliberately *not* recorded, because replay re-runs the real runtime)
-opens a record at the current PC; ``fetch_word``/``account_fetch`` count
-instruction words; ``read``/``write`` append data accesses (writes keep
-their values); ``record_instruction`` closes the record with the
-instruction's unstalled cycles.
+opens a record at the current PC; ``on_read``/``on_write`` append data
+accesses (writes keep their values); ``on_retire`` closes the record
+with the instruction's unstalled cycles and the application fetch words
+the counters gained since ``on_begin``.
 
 For SwapRAM targets the recorder additionally tracks **activations** --
 live executions of cacheable functions -- so instruction addresses
 inside a cached copy (or an NVM fallback) are stored
 *function-relative*. An activation opens when a call site reads the
-function's redirection entry (the redirect value, or the post-hook PC on
-a miss, is the base) and closes when the call site's ``SUB`` write
-drops the function's active counter. This is exactly the state a replay
-under a *different* policy or cache limit reconstructs for itself,
-which is what makes one trace serve the whole ablation grid.
+function's redirection entry (the redirect value, or the PC the miss
+handler's hook leaves, is the base) and closes when the call site's
+``SUB`` write drops the function's active counter. This is exactly the
+state a replay under a *different* policy or cache limit reconstructs
+for itself, which is what makes one trace serve the whole ablation grid.
 
 Block-cache targets record plain absolute addresses plus explicit hook
 markers: chaining rewrites application branches in place (cache state
@@ -36,7 +35,9 @@ from repro.blockcache.runtime import BlockCacheRuntime
 from repro.datacache.runtime import DataCacheRuntime
 from repro.isa.registers import PC
 from repro.machine.cpu import RunawayError
-from repro.machine.trace import Attribution
+from repro.machine.memory import RegionKind
+from repro.machine.observe import observe, unobserve
+from repro.machine.trace import FETCH, Attribution, access_slot
 from repro.replay.schema import (
     ACC_BYTE,
     ACC_VALUE,
@@ -44,6 +45,11 @@ from repro.replay.schema import (
     build_document,
     image_sha256,
 )
+
+_APP = Attribution.APP
+_APP_SRAM_FETCH = access_slot(_APP, RegionKind.SRAM, FETCH)
+_APP_FRAM_FETCH = access_slot(_APP, RegionKind.FRAM, FETCH)
+
 
 BASELINE = "baseline"
 SWAPRAM = "swapram"
@@ -66,55 +72,45 @@ def classify(target):
     if isinstance(runtime, BlockCacheRuntime):
         return BLOCK, board, runtime
     if isinstance(runtime, DataCacheRuntime):
-        # The data cache intercepts at the bus, below the recorder's
-        # taps, so the recorded stream is the *application* stream --
+        # The data cache intercepts at the bus, below the observation
+        # seam, so the recorded stream is the *application* stream --
         # baseline-shaped regardless of hits, fills or writebacks.
         return DATACACHE, board, runtime
     raise CaptureError(f"cannot capture system with runtime {type(runtime)!r}")
 
 
 class _Recorder:
-    """Bus/counter taps accumulating the canonical event stream."""
+    """Seam subscriber accumulating the canonical event stream."""
 
     def __init__(self, kind, board, runtime):
         self.kind = kind
         self.board = board
         self.bus = board.bus
-        self.counters = board.counters
+        self._regs = board.cpu.regs
         self.records = []
         self.cache_window_writes = 0
         self._cur_acc = None
         self._cur_pc = 0
-        self._cur_words = 0
-        self._saved = None
-        self._saved_hook = None
+        self._cur_fetched = 0
+        self._cur_act = None  # (func_id, base, end), SwapRAM only
 
+        self._hook_addr = runtime.entry_addr if kind == BLOCK else None
         self._swapram = kind == SWAPRAM
         if self._swapram:
             if len(runtime.meta.functions) > 0xFF:
                 raise CaptureError("more than 255 cacheable functions")
             count = len(runtime.meta.functions)
-            self._handler_addr = runtime.handler_addr
+            self._hook_addr = runtime.handler_addr
             self._redir_lo = runtime.redir_base
             self._redir_hi = runtime.redir_base + 2 * count
             self._active_lo = runtime.active_base
             self._active_hi = runtime.active_base + 2 * count
             self._sizes = [m.size for m in runtime.meta.functions]
             self._acts = [[] for _ in range(count)]
-            self._cur_act = None  # (func_id, base, end)
             self._pending = None
-            window_lo = board.linked.cache_base
-            window_hi = board.bus.memory_map.sram.end
-            self._window = (window_lo, window_hi)
-        else:
-            self._window = None
-        self._hook_addr = None
-        if kind == SWAPRAM:
-            self._hook_addr = runtime.handler_addr
-        elif kind == BLOCK:
-            self._hook_addr = runtime.entry_addr
+            self._window = (board.linked.cache_base, board.bus.memory_map.sram.end)
         # DATACACHE installs no CPU hook: its interception lives inside
-        # bus.read/bus.write, *below* these taps, so nothing to wrap.
+        # bus.read/bus.write, *below* the seam, so nothing to mark.
 
     # -- activation tracking (SwapRAM) -----------------------------------------
 
@@ -131,10 +127,8 @@ class _Recorder:
 
     def _map_pc(self, pc):
         """Resolve *pc* to (func_id, offset) within a live activation,
-        or (-1, pc) when it executes position-independently."""
-        cur = self._cur_act
-        if cur is not None and cur[1] <= pc < cur[2]:
-            return cur[0], pc - cur[1]
+        or (-1, pc) when it executes position-independently. The
+        caller has already tried the current activation."""
         for func_id, stack in enumerate(self._acts):
             for base, end in stack:
                 if base <= pc < end:
@@ -143,157 +137,85 @@ class _Recorder:
         self._cur_act = None
         return -1, pc
 
-    # -- attachment ---------------------------------------------------------------
+    # -- seam handlers ---------------------------------------------------------------
 
-    def attach(self):
-        bus = self.bus
-        counters = self.counters
-        regs = self.board.cpu.regs
-        app = Attribution.APP
-        recorder = self
+    def on_begin(self):
+        if self.bus.attribution is _APP:
+            if self._cur_acc is not None:
+                raise CaptureError("instruction record left open")
+            self._cur_pc = self._regs[PC]
+            # Application words fetched so far; the retire diffs it.
+            counts = self.board.counters.access_counts
+            self._cur_fetched = counts[_APP_SRAM_FETCH] + counts[_APP_FRAM_FETCH]
+            self._cur_acc = []
 
-        orig_begin = bus.begin_instruction
-        orig_fetch = bus.fetch_word
-        orig_account = bus.account_fetch
-        orig_read = bus.read
-        orig_write = bus.write
-        orig_record = counters.record_instruction
-        self._saved = (
-            orig_begin,
-            orig_fetch,
-            orig_account,
-            orig_read,
-            orig_write,
-            orig_record,
-        )
-
-        def begin_instruction():
-            if bus.attribution is app:
-                if recorder._cur_acc is not None:
-                    raise CaptureError("instruction record left open")
-                recorder._cur_pc = regs[PC]
-                recorder._cur_words = 0
-                recorder._cur_acc = []
-            orig_begin()
-
-        def fetch_word(address):
-            value = orig_fetch(address)
-            if bus.attribution is app and recorder._cur_acc is not None:
-                recorder._cur_words += 1
-            return value
-
-        def account_fetch(address, words):
-            orig_account(address, words)
-            if bus.attribution is app and recorder._cur_acc is not None:
-                recorder._cur_words += words
-
-        swapram = self._swapram
-        if swapram:
-            redir_lo, redir_hi = self._redir_lo, self._redir_hi
-            active_lo, active_hi = self._active_lo, self._active_hi
-            handler = self._handler_addr
-            window_lo, window_hi = self._window
-            memory = bus.memory
-
-        def read(address, byte=False):
-            value = orig_read(address, byte)
-            if bus.attribution is app:
-                acc = recorder._cur_acc
-                if acc is None:
-                    raise CaptureError(
-                        f"application read outside an instruction "
-                        f"at {address:#06x}"
-                    )
-                acc.append((ACC_BYTE if byte else 0, address & 0xFFFF, 0))
-                if swapram and redir_lo <= address < redir_hi:
-                    func_id = (address - redir_lo) >> 1
-                    if value == handler:
-                        recorder._pending = func_id
-                    else:
-                        recorder._push(func_id, value)
-            return value
-
-        def write(address, value, byte=False):
-            if bus.attribution is app:
-                acc = recorder._cur_acc
-                if acc is None:
-                    raise CaptureError(
-                        f"application write outside an instruction "
-                        f"at {address:#06x}"
-                    )
-                masked = value & (0xFF if byte else 0xFFFF)
-                flags = ACC_WRITE | ACC_VALUE | (ACC_BYTE if byte else 0)
-                acc.append((flags, address & 0xFFFF, masked))
-                if swapram:
-                    if not byte and active_lo <= address < active_hi:
-                        if masked < memory.read_word(address):
-                            recorder._pop((address - active_lo) >> 1)
-                    if window_lo <= address < window_hi:
-                        recorder.cache_window_writes += 1
-            orig_write(address, value, byte)
-
-        def record_instruction(attribution, region_kind, cycles):
-            orig_record(attribution, region_kind, cycles)
-            if attribution is app:
-                acc = recorder._cur_acc
-                if acc is None:
-                    raise CaptureError("instruction retired without a record")
-                pc = recorder._cur_pc
-                if swapram:
-                    func, offset = recorder._map_pc(pc)
-                else:
-                    func, offset = -1, pc
-                recorder.records.append(
-                    (func, offset, recorder._cur_words, cycles, tuple(acc))
-                )
-                recorder._cur_acc = None
-
-        bus.begin_instruction = begin_instruction
-        bus.fetch_word = fetch_word
-        bus.account_fetch = account_fetch
-        bus.read = read
-        bus.write = write
-        counters.record_instruction = record_instruction
-
-        if self._hook_addr is not None:
-            hooks = self.board.cpu.hooks
-            orig_hook = hooks[self._hook_addr]
-            self._saved_hook = orig_hook
-            if swapram:
-
-                def hook(cpu):
-                    orig_hook(cpu)
-                    if recorder._pending is not None:
-                        func_id = recorder._pending
-                        recorder._pending = None
-                        recorder._push(func_id, cpu.regs[PC])
-
+    def on_read(self, address, byte):
+        if self.bus.attribution is not _APP:
+            return
+        acc = self._cur_acc
+        if acc is None:
+            raise CaptureError(
+                f"application read outside an instruction at {address:#06x}"
+            )
+        acc.append((ACC_BYTE if byte else 0, address & 0xFFFF, 0))
+        if self._swapram and self._redir_lo <= address < self._redir_hi:
+            memory = self.bus.memory
+            value = memory.read_byte(address) if byte else memory.read_word(address)
+            func_id = (address - self._redir_lo) >> 1
+            if value == self._hook_addr:
+                self._pending = func_id
             else:
+                self._push(func_id, value)
 
-                def hook(cpu):
-                    recorder.records.append(None)
-                    orig_hook(cpu)
+    def on_write(self, address, value, byte):
+        if self.bus.attribution is not _APP:
+            return
+        acc = self._cur_acc
+        if acc is None:
+            raise CaptureError(
+                f"application write outside an instruction at {address:#06x}"
+            )
+        masked = value & (0xFF if byte else 0xFFFF)
+        flags = ACC_WRITE | ACC_VALUE | (ACC_BYTE if byte else 0)
+        acc.append((flags, address & 0xFFFF, masked))
+        if self._swapram:
+            if not byte and self._active_lo <= address < self._active_hi:
+                if masked < self.bus.memory.read_word(address):
+                    self._pop((address - self._active_lo) >> 1)
+            if self._window[0] <= address < self._window[1]:
+                self.cache_window_writes += 1
 
-            hooks[self._hook_addr] = hook
-        return self
+    def on_retire(self, attribution, region_kind, cycles):
+        if attribution is not _APP:
+            return
+        acc = self._cur_acc
+        if acc is None:
+            raise CaptureError("instruction retired without a record")
+        pc = self._cur_pc
+        cur = self._cur_act
+        if cur is not None and cur[1] <= pc < cur[2]:
+            func, offset = cur[0], pc - cur[1]
+        elif self._swapram:
+            func, offset = self._map_pc(pc)
+        else:
+            func, offset = -1, pc
+        counts = self.board.counters.access_counts
+        words = counts[_APP_SRAM_FETCH] + counts[_APP_FRAM_FETCH] - self._cur_fetched
+        self.records.append((func, offset, words, cycles, tuple(acc)))
+        self._cur_acc = None
 
-    def detach(self):
-        if self._saved is None:
-            return self
-        bus = self.bus
-        (
-            bus.begin_instruction,
-            bus.fetch_word,
-            bus.account_fetch,
-            bus.read,
-            bus.write,
-            self.counters.record_instruction,
-        ) = self._saved
-        self._saved = None
-        if self._saved_hook is not None:
-            self.board.cpu.hooks[self._hook_addr] = self._saved_hook
-            self._saved_hook = None
-        return self
+    def on_hook(self, address, cpu):
+        if address != self._hook_addr:
+            return
+        if not self._swapram:
+            # A block-cache entry. Its charged instructions are
+            # runtime-attributed, so none were recorded before the
+            # marker.
+            self.records.append(None)
+        elif self._pending is not None:
+            func_id = self._pending
+            self._pending = None
+            self._push(func_id, cpu.regs[PC])
 
 
 def capture_run(
@@ -314,9 +236,8 @@ def capture_run(
     from repro.tracing.span import NULL_SPAN
 
     kind, board, runtime = classify(target)
-    recorder = _Recorder(kind, board, runtime)
+    recorder = observe(board, _Recorder(kind, board, runtime))
     tracing = current_recorder()
-    recorder.attach()
     try:
         # Raw (det=False): captures are memoised per process, so whether
         # one happens depends on which units a worker served before.
@@ -334,7 +255,7 @@ def capture_run(
             except RunawayError as error:
                 raise CaptureError(f"run did not halt: {error}") from error
     finally:
-        recorder.detach()
+        unobserve(board, recorder)
 
     config = dict(capture_config or {})
     if kind == SWAPRAM:

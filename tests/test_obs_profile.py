@@ -1,9 +1,14 @@
 """Per-function attribution: exact cycle/energy/traffic decomposition."""
 
+from functools import partial
+
 import pytest
 
+from repro.bench import get_benchmark
 from repro.blockcache import build_blockcache
 from repro.core import build_swapram
+from repro.datacache import DataCacheConfig, build_datacache
+from repro.machine import PowerFailure, install_fused_counters
 from repro.obs import TraceSession
 from repro.toolchain import PLANS, build_baseline
 
@@ -32,6 +37,12 @@ BUILDERS = {
     "baseline": build_baseline,
     "swapram": build_swapram,
     "blockcache": build_blockcache,
+    # The data cache sits below the bus entry points, so these two check
+    # that per-function traffic is read below it, where RunResult is.
+    "datacache-wt": partial(
+        build_datacache, config=DataCacheConfig(mode="through", cleaning="none")
+    ),
+    "datacache-wb": partial(build_datacache, config=DataCacheConfig()),
 }
 
 
@@ -63,6 +74,11 @@ def test_fram_traffic_sums_exactly(traced):
     sram = sum(p.sram_accesses for p in session.profiles.values())
     assert fram == result.fram_accesses
     assert sram == result.sram_accesses
+    energy = sum(
+        p.as_dict(session.energy_model)["energy_nj"]
+        for p in session.profiles.values()
+    )
+    assert energy == pytest.approx(result.energy_nj)
 
 
 def test_energy_decomposes_exactly(traced):
@@ -124,13 +140,36 @@ def test_cached_sram_execution_attributed_to_owner():
 def test_detach_restores_cpu_and_bus():
     system = build_swapram(SOURCE, PLANS["unified"])
     board = system.board
-    original_fetch = board.bus.fetch_word.__func__
+    bus_entry_points = {
+        "begin_instruction",
+        "fetch_word",
+        "account_fetch",
+        "read",
+        "write",
+    }
     session = TraceSession.attach(system)
     assert "step" in vars(board.cpu)
-    assert getattr(board.bus.fetch_word, "__func__", None) is not original_fetch
+    assert not bus_entry_points & vars(board.bus).keys()
+    system.run()
     session.finish()
     assert "step" not in vars(board.cpu)
-    assert board.bus.fetch_word.__func__ is original_fetch
+    assert not bus_entry_points & vars(board.bus).keys()
+
+
+def test_fuse_cut_run_attributes_its_partial_step():
+    # The path `repro run --trace --max-cycles` takes: the fuse blows
+    # inside a step, and finish() must still attribute that step.
+    board = build_baseline(get_benchmark("crc").source, PLANS["unified"])
+    counters = install_fused_counters(board)
+    counters.cycle_fuse = 100_003
+    session = TraceSession.attach(board)
+    with pytest.raises(PowerFailure):
+        board.run()
+    session.finish()
+    profiles = session.profiles.values()
+    assert sum(p.cycles for p in profiles) == counters.total_cycles
+    assert sum(p.instructions for p in profiles) == counters.total_instructions
+    assert counters.total_cycles >= 100_003
 
 
 def test_profile_as_dict_round_trip():
