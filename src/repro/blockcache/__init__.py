@@ -20,7 +20,7 @@ from repro.blockcache.transform import (
     instrument_for_blockcache,
 )
 from repro.blockcache.runtime import BlockCacheRuntime, BlockCacheStats
-from repro.blockcache.system import BlockCacheSystem, build_blockcache
+from repro.blockcache.system import build_blockcache
 
 __all__ = [
     "BlockCacheMeta",
@@ -28,6 +28,5 @@ __all__ = [
     "instrument_for_blockcache",
     "BlockCacheRuntime",
     "BlockCacheStats",
-    "BlockCacheSystem",
     "build_blockcache",
 ]

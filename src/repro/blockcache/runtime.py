@@ -116,6 +116,11 @@ class BlockCacheRuntime:
         self.board.add_hook(self.entry_addr, self)
         return self
 
+    def nvm_bytes(self, sizes):
+        """``(runtime, metadata)`` NVM bytes: the stubs count as metadata."""
+        metadata = sizes.get("bbmeta", 0) + sizes.get("bbstubs", 0)
+        return sizes.get("bbruntime", 0), metadata
+
     # -- hash table in simulated FRAM ---------------------------------------------
 
     def _entry_addr(self, index):

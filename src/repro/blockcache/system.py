@@ -1,39 +1,10 @@
 """One-call construction of a block-cache system (the prior-work baseline)."""
 
-from dataclasses import dataclass
-
 from repro.blockcache.runtime import BlockCacheRuntime
 from repro.blockcache.transform import BlockCostModel, instrument_for_blockcache
 from repro.machine.board import Board
-from repro.toolchain.build import add_startup, compile_program
+from repro.toolchain.build import System, add_startup, compile_program
 from repro.toolchain.linker import link, measure_sections
-
-
-@dataclass
-class BlockCacheSystem:
-    """A loaded board plus the block-cache runtime attached to it."""
-
-    board: Board
-    runtime: BlockCacheRuntime
-    meta: object
-    linked: object
-
-    def run(self, max_instructions=50_000_000):
-        return self.board.run(max_instructions=max_instructions)
-
-    @property
-    def stats(self):
-        return self.runtime.stats
-
-    def size_report(self):
-        """Figure 7 decomposition (bytes of NVM)."""
-        sizes = self.linked.section_sizes
-        return {
-            "application": sizes["text"],
-            "runtime": sizes.get("bbruntime", 0),
-            "metadata": sizes.get("bbmeta", 0) + sizes.get("bbstubs", 0),
-            "const_data": sizes.get("rodata", 0),
-        }
 
 
 def _expected_cache_bytes(program, plan):
@@ -86,4 +57,4 @@ def build_blockcache(
         board, linked.image, meta, linked.cache_base, cache_size
     )
     runtime.install()
-    return BlockCacheSystem(board=board, runtime=runtime, meta=meta, linked=linked)
+    return System(board=board, runtime=runtime, linked=linked, meta=meta)

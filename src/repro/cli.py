@@ -4,7 +4,7 @@
 
     python -m repro program.c                        # baseline, unified, 24 MHz
     python -m repro program.c --system swapram       # with the software cache
-    python -m repro program.c --system block         # prior-work block cache
+    python -m repro program.c --system blockcache    # prior-work block cache
     python -m repro program.c --plan standard --mhz 8
     python -m repro program.c --system swapram --stats --listing
     python -m repro program.c --trace results/traces/program.trace.json
@@ -20,7 +20,7 @@
     python -m repro trace export --campaign difftest-1a2b3c4d   # Perfetto
     python -m repro cache report crc                  # miss classification
     python -m repro cache mrc crc --validate          # exact miss-ratio curve
-    python -m repro program.c --system datacache      # write-back data cache
+    python -m repro program.c --system datacache-wb   # write-back data cache
     python -m repro datacache sweep --jobs 4          # mode x cleaning grid
     python -m repro datacache report results/datacache/sweep.json
 
@@ -45,6 +45,10 @@ the ``datacache`` subcommand sweeps and reports the FRAM data-plane
 cache's mode x cleaning x geometry grid (see
 :mod:`repro.datacache.cli`).
 
+``--system`` takes any :mod:`repro.systems` name or alias; a knob
+(``--cache-limit``, ``--thrash-guard``) the chosen system does not take
+is refused with exit status 2.
+
 ``--max-cycles`` arms a cycle watchdog: a run that exceeds the budget
 is reported as a first-class DNF (exit status 2) instead of spinning to
 the instruction guard, mirroring how the experiments runner treats
@@ -54,10 +58,10 @@ runs that never finish.
 import argparse
 import sys
 
-from repro.blockcache import build_blockcache
-from repro.core import ThrashGuard, build_swapram
+from repro import systems
+from repro.core import ThrashGuard
 from repro.machine import PowerFailure, RunawayError
-from repro.toolchain import FitError, PLANS, build_baseline
+from repro.toolchain import FitError, PLANS
 
 
 def _parser():
@@ -69,15 +73,9 @@ def _parser():
     parser.add_argument("source", help="mini-C source file (or '-' for stdin)")
     parser.add_argument(
         "--system",
-        choices=("baseline", "swapram", "block", "datacache"),
+        choices=systems.NAMES,
         default="baseline",
         help="execution system (default: baseline)",
-    )
-    parser.add_argument(
-        "--datacache-mode",
-        choices=("through", "back"),
-        default="back",
-        help="data-cache write policy (--system datacache; default: back)",
     )
     parser.add_argument(
         "--plan",
@@ -124,39 +122,6 @@ def _parser():
         help="cycle watchdog: exceeding it is a DNF (exit 2)",
     )
     return parser
-
-
-def _build(args, source):
-    if args.system == "baseline":
-        board = build_baseline(source, PLANS[args.plan], frequency_mhz=args.mhz)
-        return board, board, None
-    if args.system == "swapram":
-        system = build_swapram(
-            source,
-            PLANS[args.plan],
-            frequency_mhz=args.mhz,
-            cache_limit=args.cache_limit,
-            thrash_guard=ThrashGuard() if args.thrash_guard else None,
-        )
-        return system, system.board, system.stats
-    if args.system == "datacache":
-        from repro.datacache.cache import DataCacheConfig
-        from repro.datacache.system import build_datacache
-
-        config = DataCacheConfig(mode=args.datacache_mode)
-        if args.datacache_mode == "through":
-            config = DataCacheConfig(mode="through", cleaning="none")
-        system = build_datacache(
-            source, PLANS[args.plan], config=config, frequency_mhz=args.mhz
-        )
-        return system, system.board, system.stats
-    system = build_blockcache(
-        source,
-        PLANS[args.plan],
-        frequency_mhz=args.mhz,
-        cache_limit=args.cache_limit,
-    )
-    return system, system.board, system.stats
 
 
 def _print_report(result, out):
@@ -215,7 +180,16 @@ def main(argv=None, out=sys.stdout):
         from repro.datacache.cli import main as datacache_main
 
         return datacache_main(argv[1:], out=out)
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    try:
+        options = systems.checked_options(
+            args.system,
+            cache_limit=args.cache_limit,
+            thrash_guard=ThrashGuard() if args.thrash_guard else None,
+        )
+    except ValueError as error:  # a knob the system does not take
+        parser.error(str(error))
     if args.source == "-":
         source = sys.stdin.read()
     else:
@@ -223,10 +197,13 @@ def main(argv=None, out=sys.stdout):
             source = handle.read()
 
     try:
-        system, board, stats = _build(args, source)
+        system = systems.build(
+            args.system, source, PLANS[args.plan], args.mhz, **options
+        )
     except FitError as error:
         print(f"DNF: {error}", file=out)
         return 2
+    board = system.board
 
     if args.max_cycles is not None:
         from repro.machine.power import install_fused_counters
@@ -256,8 +233,8 @@ def main(argv=None, out=sys.stdout):
         )
         print(f"trace        : {trace_path} (+ {report_path.name})", file=out)
 
-    if args.stats and stats is not None:
-        print(f"cache stats  : {stats}", file=out)
+    if args.stats and system.stats is not None:
+        print(f"cache stats  : {system.stats}", file=out)
     if args.listing:
         from repro.asm.disasm import listing
 

@@ -22,7 +22,7 @@ from repro.core.costs import RuntimeCostModel
 from repro.core.policy import CacheNode, CircularQueuePolicy, StackPolicy
 from repro.core.transform import SwapRamMeta, instrument_for_swapram
 from repro.core.runtime import SwapRamRuntime, SwapRamStats
-from repro.core.system import SwapRamSystem, build_swapram
+from repro.core.system import build_swapram
 from repro.core.thrash import ThrashGuard
 from repro.core.prefetch import CallGraphPrefetcher
 
@@ -35,7 +35,6 @@ __all__ = [
     "instrument_for_swapram",
     "SwapRamRuntime",
     "SwapRamStats",
-    "SwapRamSystem",
     "build_swapram",
     "ThrashGuard",
     "CallGraphPrefetcher",

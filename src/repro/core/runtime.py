@@ -140,6 +140,10 @@ class SwapRamRuntime:
         self.board.add_hook(self.handler_addr, self)
         return self
 
+    def nvm_bytes(self, sizes):
+        """``(runtime, metadata)`` NVM bytes from the linked section sizes."""
+        return sizes.get("srruntime", 0), sizes.get("srmeta", 0)
+
     # -- the handler ---------------------------------------------------------------
 
     def __call__(self, cpu):

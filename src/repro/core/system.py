@@ -4,45 +4,17 @@
 compile (mini-C -> assembly), apply the static instrumentation pass,
 link with the metadata/runtime sections in FRAM, reserve the SRAM cache
 area, and install the miss handler. The returned system runs exactly
-like a baseline board and exposes runtime statistics.
+like a baseline board and exposes runtime statistics
+(:class:`~repro.toolchain.build.System`).
 """
-
-from dataclasses import dataclass
 
 from repro.core.costs import RuntimeCostModel
 from repro.core.policy import CircularQueuePolicy
 from repro.core.runtime import SwapRamRuntime
 from repro.core.transform import instrument_for_swapram
 from repro.machine.board import Board
-from repro.toolchain.build import add_startup, compile_program
+from repro.toolchain.build import System, add_startup, compile_program
 from repro.toolchain.linker import link
-
-
-@dataclass
-class SwapRamSystem:
-    """A loaded board plus the SwapRAM runtime attached to it."""
-
-    board: Board
-    runtime: SwapRamRuntime
-    meta: object
-    linked: object
-
-    def run(self, max_instructions=50_000_000):
-        return self.board.run(max_instructions=max_instructions)
-
-    @property
-    def stats(self):
-        return self.runtime.stats
-
-    def size_report(self):
-        """Figure 7 decomposition for this binary (bytes of NVM)."""
-        sizes = self.linked.section_sizes
-        return {
-            "application": sizes["text"],
-            "runtime": sizes.get("srruntime", 0),
-            "metadata": sizes.get("srmeta", 0),
-            "const_data": sizes.get("rodata", 0),
-        }
 
 
 def build_swapram(
@@ -106,4 +78,4 @@ def build_swapram(
         prefetcher=prefetcher,
     )
     runtime.install()
-    return SwapRamSystem(board=board, runtime=runtime, meta=meta, linked=linked)
+    return System(board=board, runtime=runtime, linked=linked, meta=meta)

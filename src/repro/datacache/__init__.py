@@ -18,7 +18,6 @@ from repro.datacache.cache import (
 )
 from repro.datacache.runtime import DataCacheRuntime
 from repro.datacache.system import (
-    DataCacheSystem,
     attach_datacache,
     build_datacache,
     data_window,
@@ -29,7 +28,6 @@ __all__ = [
     "DataCacheModel",
     "DataCacheRuntime",
     "DataCacheStats",
-    "DataCacheSystem",
     "attach_datacache",
     "build_datacache",
     "data_window",

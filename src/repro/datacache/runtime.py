@@ -109,6 +109,11 @@ class DataCacheRuntime:
         self.bus.data_cache = self
         return self
 
+    def nvm_bytes(self, sizes):
+        """``(runtime, metadata)`` NVM bytes: the modelled handler and memcpy."""
+        del sizes  # the runtime area is carved past the image, not linked
+        return self.costs.handler_bytes + self.costs.memcpy_bytes, 0
+
     # -- the hot path (called from Bus.read / Bus.write) -----------------------------
 
     def covers(self, address):

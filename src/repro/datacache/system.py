@@ -19,42 +19,12 @@ Capacity overruns raise :class:`~repro.toolchain.linker.FitError`, the
 same DNF outcome as everywhere else.
 """
 
-from dataclasses import dataclass
-
 from repro.core.costs import DataCacheCostModel
 from repro.datacache.cache import DataCacheConfig
 from repro.datacache.runtime import DataCacheRuntime
 from repro.machine.board import Board
-from repro.toolchain.build import add_startup, compile_program
+from repro.toolchain.build import System, add_startup, compile_program
 from repro.toolchain.linker import FitError, link
-
-
-@dataclass
-class DataCacheSystem:
-    """A loaded board plus the data-cache runtime attached to it."""
-
-    board: Board
-    runtime: DataCacheRuntime
-    linked: object
-    config: DataCacheConfig
-
-    def run(self, max_instructions=50_000_000):
-        return self.board.run(max_instructions=max_instructions)
-
-    @property
-    def stats(self):
-        return self.runtime.stats
-
-    def size_report(self):
-        """Figure 7-style decomposition for this binary (bytes of NVM)."""
-        sizes = self.linked.section_sizes
-        costs = self.runtime.costs
-        return {
-            "application": sizes["text"],
-            "runtime": costs.handler_bytes + costs.memcpy_bytes,
-            "metadata": 0,
-            "const_data": sizes.get("rodata", 0),
-        }
 
 
 def data_window(linked):
@@ -167,4 +137,4 @@ def build_datacache(
     board.load(linked.image)
     board.linked = linked
     runtime = attach_datacache(board, linked, config, cost_model=cost_model)
-    return DataCacheSystem(board=board, runtime=runtime, linked=linked, config=config)
+    return System(board=board, runtime=runtime, linked=linked)

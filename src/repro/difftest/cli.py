@@ -128,7 +128,7 @@ def dump_divergence_trace(directory, report, program):
         return None  # 'reference'/generator divergences have no config
     config = matching[0]
     try:
-        runnable, _system, _board = build_system(config, program.render())
+        runnable = build_system(config, program.render())
     except Exception:
         return None
     session = TraceSession.attach(runnable)

@@ -28,17 +28,14 @@ cache slower by more than ``CYCLE_TOLERANCE`` -- is flagged, and as an
 
 from dataclasses import dataclass, field
 
-from repro.blockcache.system import build_blockcache
+from repro import systems
 from repro.core.policy import POLICIES
-from repro.core.system import build_swapram
-from repro.difftest import invariants
 from repro.difftest.generator import generate_program
 from repro.asm.assembler import AssemblyError
 from repro.blockcache.transform import BlockTransformError
 from repro.core.transform import TransformError
 from repro.machine.cpu import SimulationError
 from repro.minic.codegen import CompileError
-from repro.toolchain.build import build_baseline
 from repro.toolchain.linker import PLANS, FitError
 
 #: Instruction bound per simulated run; generated programs finish in
@@ -59,15 +56,15 @@ CYCLE_HARD_TOLERANCE = 3.00
 class ExecConfig:
     """One execution configuration in the differential matrix."""
 
-    kind: str  # 'baseline' | 'swapram' | 'blockcache'
+    kind: str  # a repro.systems name: 'baseline' | 'swapram' | 'blockcache'
     plan: str = "unified"
-    policy: str = "queue"
+    policy: str = None
     cache_limit: int = None
 
     @property
     def name(self):
         parts = [self.kind, self.plan]
-        if self.kind == "swapram":
+        if self.policy is not None:
             parts.append(self.policy)
         if self.cache_limit is not None:
             parts.append(f"limit{self.cache_limit}")
@@ -175,36 +172,27 @@ def corrupt_one_reloc(system):
 def build_system(config, source, fault=None):
     """Build (without running) the system for one configuration.
 
-    Returns ``(runnable, system_or_None, board)`` -- *runnable* has the
-    ``run(max_instructions=...)`` entry point. Split out from
-    :func:`_build_and_run` so callers (the trace dumper, observability
-    tooling) can attach instrumentation before the run starts. Raises
-    FitError and friends.
+    Split out from :func:`_build_and_run` so callers (the trace dumper,
+    observability tooling) can attach instrumentation before the run
+    starts. *fault* (system -> None) is applied to SwapRAM systems.
+    Raises FitError and friends.
     """
-    plan = PLANS[config.plan]
-    if config.kind == "baseline":
-        board = build_baseline(source, plan)
-        return board, None, board
-    if config.kind == "swapram":
-        system = build_swapram(
-            source,
-            plan,
-            policy_class=POLICIES[config.policy],
-            cache_limit=config.cache_limit,
-        )
-        if fault is not None:
-            fault(system)
-        return system, system, system.board
-    if config.kind == "blockcache":
-        system = build_blockcache(source, plan, cache_limit=config.cache_limit)
-        return system, system, system.board
-    raise ValueError(f"unknown config kind: {config.kind}")
+    system = systems.build(
+        config.kind,
+        source,
+        PLANS[config.plan],
+        policy=config.policy,
+        cache_limit=config.cache_limit,
+    )
+    if fault is not None and config.kind == "swapram":
+        fault(system)
+    return system
 
 
 def _build_and_run(config, source, fault=None):
-    """Returns (result, system_or_None, board); raises FitError and friends."""
-    runnable, system, board = build_system(config, source, fault)
-    return runnable.run(max_instructions=MAX_INSTRUCTIONS), system, board
+    """Returns (result, system); raises FitError and friends."""
+    system = build_system(config, source, fault)
+    return system.run(max_instructions=MAX_INSTRUCTIONS), system
 
 
 def _pack(values, element_bytes, element_mask):
@@ -237,14 +225,6 @@ def _compare_memory(program, ref, board):
                 f"scalar {scalar.name}: {actual:#x} != {expected:#x}"
             )
     return problems
-
-
-def _check_invariants(config, system):
-    if config.kind == "swapram":
-        return invariants.check_swapram_system(system)
-    if config.kind == "blockcache":
-        return invariants.check_blockcache_stats(system.stats)
-    return []
 
 
 def _check_cycle_order(report):
@@ -308,7 +288,7 @@ def run_differential(program_or_seed, configs=None, fault=None):
     for config in configs:
         name = config.name
         try:
-            result, system, board = _build_and_run(config, report.source, fault)
+            result, system = _build_and_run(config, report.source, fault)
         except FitError as exc:
             report.outcomes[name] = "DNF"
             continue
@@ -339,15 +319,14 @@ def run_differential(program_or_seed, configs=None, fault=None):
                     f"reference {ref.debug_words[:12]}",
                 )
             )
-        for problem in _compare_memory(program, ref, board):
+        for problem in _compare_memory(program, ref, system.board):
             report.divergences.append(
                 Divergence(program.seed, name, "memory", problem)
             )
-        if system is not None:
-            for violation in _check_invariants(config, system):
-                report.divergences.append(
-                    Divergence(program.seed, name, "invariant", violation)
-                )
+        for violation in systems.spec(config.kind).problems(system):
+            report.divergences.append(
+                Divergence(program.seed, name, "invariant", violation)
+            )
 
     _check_cycle_order(report)
     return report

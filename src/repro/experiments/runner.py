@@ -23,12 +23,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro import systems
 from repro.bench import get_benchmark
-from repro.blockcache import build_blockcache
-from repro.core import build_swapram
 from repro.machine import PowerFailure, RunawayError, install_fused_counters
 from repro.metrics.registry import PhaseTimer
-from repro.toolchain import FitError, PLANS, build_baseline
+from repro.toolchain import FitError, PLANS
 
 BASELINE = "baseline"
 SWAPRAM = "swapram"
@@ -195,18 +194,14 @@ class ExperimentRunner:
             from dataclasses import asdict as plan_asdict
 
             document = self.trace_store.load(
-                system, plan_asdict(plan), self.scale, program.source
+                systems.spec(system).capture_kind,
+                plan_asdict(plan),
+                self.scale,
+                program.source,
             )
         if document is None:
             with timer.phase("capture"):
-                if system == BASELINE:
-                    target = build_baseline(program.source, plan)
-                elif system == SWAPRAM:
-                    target = build_swapram(program.source, plan)
-                elif system == BLOCK:
-                    target = build_blockcache(program.source, plan)
-                else:
-                    raise ValueError(f"unknown system {system!r}")
+                target = systems.build(system, program.source, plan)
                 document, _ = capture_run(
                     target,
                     program.source,
@@ -276,9 +271,7 @@ class ExperimentRunner:
 
     def _execute(self, benchmark, system, frequency_mhz, plan_name, cache_reserve):
         program = self.source(benchmark)
-        plan = PLANS[plan_name]
-        if cache_reserve:
-            plan = plan.with_cache_reserve(cache_reserve)
+        plan = self._plan_for(plan_name, cache_reserve)
         record = RunRecord(
             benchmark=benchmark,
             system=system,
@@ -287,33 +280,15 @@ class ExperimentRunner:
         )
         timer = PhaseTimer()
         try:
-            if system == BASELINE:
-                with timer.phase("build"):
-                    board = build_baseline(program.source, plan, frequency_mhz)
-                self._arm_watchdog(board)
-                with timer.phase("run"):
-                    result = board.run(max_instructions=self.max_instructions)
-                record.section_sizes = dict(board.linked.section_sizes)
-            elif system == SWAPRAM:
-                with timer.phase("build"):
-                    built = build_swapram(program.source, plan, frequency_mhz)
-                self._arm_watchdog(built.board)
-                with timer.phase("run"):
-                    result = built.run(max_instructions=self.max_instructions)
-                record.section_sizes = dict(built.linked.section_sizes)
+            with timer.phase("build"):
+                built = systems.build(system, program.source, plan, frequency_mhz)
+            self._arm_watchdog(built.board)
+            with timer.phase("run"):
+                result = built.run(max_instructions=self.max_instructions)
+            record.section_sizes = dict(built.linked.section_sizes)
+            if built.runtime is not None:
                 record.size_report = built.size_report()
                 record.runtime_stats = built.stats
-            elif system == BLOCK:
-                with timer.phase("build"):
-                    built = build_blockcache(program.source, plan, frequency_mhz)
-                self._arm_watchdog(built.board)
-                with timer.phase("run"):
-                    result = built.run(max_instructions=self.max_instructions)
-                record.section_sizes = dict(built.linked.section_sizes)
-                record.size_report = built.size_report()
-                record.runtime_stats = built.stats
-            else:
-                raise ValueError(f"unknown system {system!r}")
         except FitError as error:
             record.dnf = True
             record.dnf_reason = f"fit: {error}"
@@ -336,23 +311,17 @@ class ExperimentRunner:
 
     def size_only(self, benchmark, system, plan_name="unified"):
         """Build without running -- for size/DNF artifacts (Figure 7)."""
-        program = self.source(benchmark)
-        plan = PLANS[plan_name]
-        builder = {
-            BASELINE: build_baseline,
-            SWAPRAM: build_swapram,
-            BLOCK: build_blockcache,
-        }[system]
         record = RunRecord(
             benchmark=benchmark, system=system, frequency_mhz=0, plan_name=plan_name
         )
         try:
-            built = builder(program.source, plan)
+            built = systems.build(
+                system, self.source(benchmark).source, PLANS[plan_name]
+            )
         except FitError:
             record.dnf = True
             return record
-        linked = built.linked if hasattr(built, "linked") else built.linked
-        record.section_sizes = dict(linked.section_sizes)
-        if hasattr(built, "size_report"):
+        record.section_sizes = dict(built.linked.section_sizes)
+        if built.runtime is not None:
             record.size_report = built.size_report()
         return record

@@ -29,10 +29,10 @@ import json
 import sys
 from pathlib import Path
 
+from repro import systems
 from repro.faults.harness import (
     MAX_INSTRUCTIONS_PER_BOOT,
     MAX_REBOOTS,
-    SYSTEMS,
     FaultSweep,
     benchmark_target,
     difftest_target,
@@ -98,7 +98,7 @@ def _parser():
     sweep.add_argument(
         "--systems",
         nargs="*",
-        choices=SYSTEMS,
+        choices=systems.NAMES,
         default=list(DEFAULT_SYSTEMS),
         help=f"systems under test (default: {' '.join(DEFAULT_SYSTEMS)})",
     )
@@ -139,7 +139,7 @@ def _parser():
         "--difftest-seed", type=int, help="difftest program seed to replay"
     )
     replay.add_argument(
-        "--system", choices=SYSTEMS, default="swapram", help="system under test"
+        "--system", choices=systems.NAMES, default="swapram", help="system under test"
     )
     replay.add_argument(
         "--schedule", default="adversarial:memcpy", help="fault schedule spec"

@@ -32,18 +32,13 @@ dangling/stale/stuck finding at the cost of losing all cached state.
 import random
 from dataclasses import dataclass, field
 
-from repro.blockcache.system import build_blockcache
-from repro.core.policy import POLICIES
-from repro.core.system import build_swapram
-from repro.datacache.cache import DataCacheConfig
-from repro.datacache.system import build_datacache
+from repro import systems
 from repro.difftest.generator import generate_program
 from repro.faults.consistency import audit_system
 from repro.faults.schedule import parse_schedule
 from repro.machine.cpu import RunawayError, SimulationError
 from repro.machine.power import FusedAccessCounters, PowerFailure
 from repro.obs.timeline import Timeline
-from repro.toolchain.build import build_baseline
 from repro.toolchain.linker import PLANS
 
 #: Default per-boot instruction budget; quick benchmarks retire ~200k
@@ -57,27 +52,15 @@ MAX_REBOOTS = 16
 #: FRAM sections restored by ``recovery='meta'`` (whichever exist).
 RECOVERY_SECTIONS = ("srmeta", "srruntime", "bbmeta", "bbstubs", "bbruntime")
 
-#: Data-cache fault variants: the crash question is a (mode, cleaning)
-#: question, so each interesting corner is its own system name and
-#: flows through target matrices, sweep units and CLI choices unchanged.
-DATACACHE_VARIANTS = {
-    "datacache-wt": DataCacheConfig(mode="through", cleaning="none"),
-    "datacache-wb": DataCacheConfig(mode="back", cleaning="alru"),
-    "datacache-acp": DataCacheConfig(mode="back", cleaning="acp"),
-}
-
-SYSTEMS = ("baseline", "swapram", "blockcache", *DATACACHE_VARIANTS)
-
-
 @dataclass(frozen=True)
 class FaultTarget:
     """One program/system/plan coordinate of the sweep matrix."""
 
     label: str
     source: str = field(repr=False, default="")
-    system: str = "swapram"
+    system: str = "swapram"  # a repro.systems name
     plan: str = "unified"
-    policy: str = "queue"
+    policy: str = None  # swapram only; None is the builder's default
 
     @property
     def name(self):
@@ -108,26 +91,14 @@ def difftest_target(seed, system, plan="unified", size="small"):
 
 
 def build_target(target, counters=None):
-    """Build (without running) one target; returns (system_or_board, board)."""
-    plan = PLANS[target.plan]
-    kwargs = {} if counters is None else {"counters": counters}
-    if target.system == "baseline":
-        board = build_baseline(target.source, plan, **kwargs)
-        return board, board
-    if target.system == "swapram":
-        system = build_swapram(
-            target.source, plan, policy_class=POLICIES[target.policy], **kwargs
-        )
-        return system, system.board
-    if target.system == "blockcache":
-        system = build_blockcache(target.source, plan, **kwargs)
-        return system, system.board
-    if target.system in DATACACHE_VARIANTS:
-        system = build_datacache(
-            target.source, plan, DATACACHE_VARIANTS[target.system], **kwargs
-        )
-        return system, system.board
-    raise ValueError(f"unknown system {target.system!r} (one of {SYSTEMS})")
+    """Build (without running) one target's :class:`~repro.systems.System`."""
+    return systems.build(
+        target.system,
+        target.source,
+        PLANS[target.plan],
+        policy=target.policy,
+        counters=counters,
+    )
 
 
 @dataclass
@@ -170,11 +141,11 @@ def _persistent_data_sections(board):
 
 def run_golden(target, max_instructions=MAX_INSTRUCTIONS_PER_BOOT):
     """Build and run *target* uninterrupted, timeline attached."""
-    system, board = build_target(target)
+    system = build_target(target)
+    board = system.board
     timeline = Timeline(board.counters)
-    runtime = getattr(system, "runtime", None)
-    if runtime is not None:
-        runtime.timeline = timeline
+    if system.runtime is not None:
+        system.runtime.timeline = timeline
     result = board.run(max_instructions=max_instructions)
     return GoldenRun(
         target=target,
@@ -278,7 +249,7 @@ def _recover_metadata(system, board, pristine):
     """
     for base, blob in pristine.values():
         board.memory.write_bytes(base, blob)
-    runtime = getattr(system, "runtime", None)
+    runtime = system.runtime
     if runtime is None:
         return
     if hasattr(runtime, "policy"):  # SwapRAM
@@ -314,9 +285,10 @@ def run_case(
     rng = random.Random(f"faults:{seed}:{target.name}:{schedule_spec}")
 
     counters = FusedAccessCounters()
-    system, board = build_target(target, counters=counters)
+    system = build_target(target, counters=counters)
+    board = system.board
     pristine = _capture_pristine_metadata(board) if recovery == "meta" else None
-    runtime = getattr(system, "runtime", None)
+    runtime = system.runtime
     if timeline is True:
         timeline = Timeline(counters)
     if timeline is not None and runtime is not None:

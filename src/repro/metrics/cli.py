@@ -24,6 +24,7 @@ from repro.bench import BENCHMARK_NAMES, QUICK_NAMES
 from repro.metrics.compare import compare_snapshots
 from repro.metrics.snapshot import (
     DEFAULT_SYSTEMS,
+    SNAPSHOT_SYSTEMS,
     load_snapshot,
     take_snapshot,
     validate_snapshot,
@@ -55,14 +56,7 @@ def _parser():
         "--systems",
         nargs="+",
         default=list(DEFAULT_SYSTEMS),
-        choices=(
-            "baseline",
-            "swapram",
-            "block",
-            "swapram-replay",
-            "datacache-wt",
-            "datacache-wb",
-        ),
+        choices=SNAPSHOT_SYSTEMS,
         help=f"systems to measure (default: {' '.join(DEFAULT_SYSTEMS)}; "
         "swapram-replay measures the trace-replay engine and asserts it "
         "bit-identical to execution)",

@@ -17,14 +17,11 @@ import re
 import time
 from pathlib import Path
 
+from repro import systems
 from repro.bench import QUICK_NAMES, get_benchmark
-from repro.blockcache import build_blockcache
-from repro.core import build_swapram
-from repro.datacache.cache import DataCacheConfig
-from repro.datacache.system import build_datacache
 from repro.metrics.instrument import MetricsSession
 from repro.metrics.registry import MetricsRegistry, PhaseTimer
-from repro.toolchain import FitError, PLANS, build_baseline, compile_program
+from repro.toolchain import FitError, PLANS, compile_program
 
 SCHEMA = "repro-bench-snapshot/1"
 
@@ -39,17 +36,18 @@ REPLAY_SYSTEM = "swapram-replay"
 #: this repo's own hot paths. The two data-cache rows pin the
 #: write-back win: ``datacache-wb`` (default back/alru configuration)
 #: must beat ``datacache-wt`` (through/none) on write-heavy kernels
-#: and lose nowhere -- the snapshot asserts the stats invariants on
-#: both before recording them.
-DATACACHE_WT = "datacache-wt"
-DATACACHE_WB = "datacache-wb"
+#: and lose nowhere. Every executed row's exact-sum invariants
+#: (``SystemSpec.problems``) are asserted before it is recorded.
 DEFAULT_SYSTEMS = (
     "baseline",
     "swapram",
     REPLAY_SYSTEM,
-    DATACACHE_WT,
-    DATACACHE_WB,
+    "datacache-wt",
+    "datacache-wb",
 )
+
+#: Every system a snapshot can measure: the registry's plus replay.
+SNAPSHOT_SYSTEMS = (*systems.NAMES, REPLAY_SYSTEM)
 
 #: The ablation grid timed by ``measure_replay_grid``: every eviction
 #: policy crossed with an uncapped, a mid, and a thrashing cache limit.
@@ -68,28 +66,6 @@ _GUEST_KEYS = (
     "runtime_us",
     "energy_nj",
 )
-
-def _build_datacache_wt(program, plan, frequency_mhz=24):
-    return build_datacache(
-        program,
-        plan,
-        config=DataCacheConfig(mode="through", cleaning="none"),
-        frequency_mhz=frequency_mhz,
-    )
-
-
-def _build_datacache_wb(program, plan, frequency_mhz=24):
-    return build_datacache(program, plan, frequency_mhz=frequency_mhz)
-
-
-_BUILDERS = {
-    "baseline": build_baseline,
-    "swapram": build_swapram,
-    "block": build_blockcache,
-    DATACACHE_WT: _build_datacache_wt,
-    DATACACHE_WB: _build_datacache_wb,
-}
-
 
 def snapshot_run(
     benchmark,
@@ -127,8 +103,8 @@ def snapshot_run(
         with timer.phase("compile"):
             compiled = compile_program(program.source)
         with timer.phase("build"):
-            built = _BUILDERS[system](
-                compiled, PLANS[plan_name], frequency_mhz=frequency_mhz
+            built = systems.build(
+                system, compiled, PLANS[plan_name], frequency_mhz=frequency_mhz
             )
     except FitError as error:
         row["dnf"] = True
@@ -157,16 +133,14 @@ def snapshot_run(
         "instructions_per_s": result.instructions / run_s if run_s else 0.0,
         "phases": timer.as_dict(),
     }
-    stats = getattr(built, "stats", None)
-    if stats is not None:
-        if hasattr(stats, "invariant_problems"):
-            problems = stats.invariant_problems(built.runtime.model.line_words)
-            if problems:
-                raise AssertionError(
-                    f"{benchmark}/{system}: datacache exact-sum "
-                    f"invariants violated: {'; '.join(problems)}"
-                )
-        row["stats"] = stats.as_dict()
+    problems = systems.spec(system).problems(built)
+    if problems:
+        raise AssertionError(
+            f"{benchmark}/{system}: exact-sum invariants violated: "
+            f"{'; '.join(problems)}"
+        )
+    if built.stats is not None:
+        row["stats"] = built.stats.as_dict()
     row["metrics"] = session.registry.as_dict()
     return row
 

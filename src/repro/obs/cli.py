@@ -13,16 +13,18 @@ runs the program, prints the per-function attribution table and the
 call tree, and writes a Perfetto-loadable ``trace_event`` JSON (open it
 at https://ui.perfetto.dev) plus a machine-readable ``.report.json``
 sidecar. The positional argument is a benchmark name from
-:mod:`repro.bench.suite` or a mini-C source file path.
+:mod:`repro.bench.suite` or a mini-C source file path; ``--system`` is
+any :mod:`repro.systems` name, and a knob it does not take (``--policy``
+on anything but swapram, say) exits 2.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
+from repro import systems
 from repro.bench.suite import BENCHMARK_NAMES, get_benchmark
-from repro.blockcache import build_blockcache
-from repro.core import ThrashGuard, build_swapram
+from repro.core import ThrashGuard
 from repro.core.policy import POLICIES
 from repro.machine.tracelog import TraceLog
 from repro.obs.report import (
@@ -32,7 +34,7 @@ from repro.obs.report import (
     write_session_artifacts,
 )
 from repro.obs.session import TraceSession
-from repro.toolchain import FitError, PLANS, build_baseline
+from repro.toolchain import FitError, PLANS
 
 
 def _parser():
@@ -48,7 +50,7 @@ def _parser():
     )
     parser.add_argument(
         "--system",
-        choices=("baseline", "swapram", "block"),
+        choices=systems.NAMES,
         default="swapram",
         help="execution system (default: swapram)",
     )
@@ -61,8 +63,8 @@ def _parser():
     parser.add_argument(
         "--policy",
         choices=sorted(POLICIES),
-        default="queue",
-        help="SwapRAM replacement policy (default: queue)",
+        default=None,
+        help="SwapRAM replacement policy (swapram default: queue)",
     )
     parser.add_argument(
         "--cache-limit", type=int, default=None, help="cap the SRAM cache (bytes)"
@@ -127,28 +129,6 @@ def _resolve_source(args, parser):
     )
 
 
-def _build(args, source):
-    """Build the requested system; returns (target, board)."""
-    plan = PLANS[args.plan]
-    if args.system == "baseline":
-        board = build_baseline(source, plan, frequency_mhz=args.mhz)
-        return board, board
-    if args.system == "swapram":
-        system = build_swapram(
-            source,
-            plan,
-            frequency_mhz=args.mhz,
-            policy_class=POLICIES[args.policy],
-            cache_limit=args.cache_limit,
-            thrash_guard=ThrashGuard() if args.thrash_guard else None,
-        )
-        return system, system.board
-    system = build_blockcache(
-        source, plan, frequency_mhz=args.mhz, cache_limit=args.cache_limit
-    )
-    return system, system.board
-
-
 def main(argv=None, out=sys.stdout):
     arguments = sys.argv[1:] if argv is None else list(argv)
     if arguments and arguments[0] == "export":
@@ -159,13 +139,25 @@ def main(argv=None, out=sys.stdout):
         return export_main(arguments[1:], out=out)
     parser = _parser()
     args = parser.parse_args(arguments)
+    try:
+        options = systems.checked_options(
+            args.system,
+            policy=args.policy,
+            cache_limit=args.cache_limit,
+            thrash_guard=ThrashGuard() if args.thrash_guard else None,
+        )
+    except ValueError as error:
+        parser.error(str(error))
     label, source, expected = _resolve_source(args, parser)
 
     try:
-        target, board = _build(args, source)
+        target = systems.build(
+            args.system, source, PLANS[args.plan], args.mhz, **options
+        )
     except FitError as error:
         print(f"DNF: {error}", file=out)
         return 2
+    board = target.board
 
     session = TraceSession.attach(target, events_limit=args.events_limit)
     accesses = None

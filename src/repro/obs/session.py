@@ -1,9 +1,8 @@
 """One-call attach/finish glue for tracing a built system.
 
 :class:`TraceSession` wires the three observability pieces together for
-any runnable the builders produce -- a baseline :class:`Board`, a
-:class:`~repro.core.system.SwapRamSystem` or a
-:class:`~repro.blockcache.system.BlockCacheSystem`:
+any runnable the builders produce -- a baseline :class:`Board` or a
+:class:`~repro.toolchain.build.System` (see :mod:`repro.systems`):
 
 * a :class:`~repro.obs.timeline.Timeline` stamped from the board's
   live counters, handed to the runtime's opt-in ``timeline`` hook;

@@ -306,46 +306,24 @@ def capture_source(
 ):
     """Build a system for *source* and capture one run of it.
 
-    Returns ``(TraceDocument, system, RunResult)`` so callers can also
-    inspect the executed system's statistics directly. *datacache* is a
-    :class:`~repro.datacache.cache.DataCacheConfig` (``system="datacache"``
-    only; ``None`` builds the default configuration).
+    *system* is any :mod:`repro.systems` name; the knobs it does not
+    take are ignored. Returns ``(TraceDocument, system, RunResult)`` so
+    callers can also inspect the executed system's statistics directly.
+    *datacache* is a :class:`~repro.datacache.cache.DataCacheConfig`
+    overriding a data-cache system's own (``None`` keeps it).
     """
-    from repro.core import build_swapram
-    from repro.core.policy import POLICIES
-    from repro.blockcache import build_blockcache
-    from repro.toolchain import PLANS, build_baseline
+    from repro import systems
+    from repro.toolchain import PLANS
 
-    plan = PLANS[plan_name]
+    spec = systems.spec(system)
+    knobs = {"policy": policy, "cache_limit": cache_limit, "slot_bytes": slot_bytes}
+    knobs = {name: value for name, value in knobs.items() if name in spec.options}
+    target = systems.build(
+        system, source, PLANS[plan_name], frequency_mhz, config=datacache, **knobs
+    )
     capture_config = {}
-    if system == BASELINE:
-        target = build_baseline(source, plan, frequency_mhz=frequency_mhz)
-    elif system == DATACACHE:
-        from repro.datacache.system import build_datacache
-
-        target = build_datacache(
-            source, plan, config=datacache, frequency_mhz=frequency_mhz
-        )
-    elif system == SWAPRAM:
-        target = build_swapram(
-            source,
-            plan,
-            frequency_mhz=frequency_mhz,
-            policy_class=POLICIES[policy],
-            cache_limit=cache_limit,
-        )
+    if "cache_limit" in spec.options:
         capture_config["cache_limit"] = cache_limit
-    elif system == BLOCK:
-        target = build_blockcache(
-            source,
-            plan,
-            frequency_mhz=frequency_mhz,
-            slot_bytes=slot_bytes,
-            cache_limit=cache_limit,
-        )
-        capture_config["cache_limit"] = cache_limit
-    else:
-        raise ValueError(f"unknown system {system!r}")
 
     document, result = capture_run(
         target,

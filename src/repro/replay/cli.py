@@ -27,6 +27,7 @@ import sys
 import time
 from dataclasses import asdict
 
+from repro import systems
 from repro.bench import BENCHMARK_NAMES, get_benchmark
 from repro.core.policy import POLICIES
 from repro.toolchain import PLANS
@@ -64,7 +65,7 @@ def _parser():
     )
     capture.add_argument(
         "--system",
-        choices=("baseline", "swapram", "block"),
+        choices=systems.NAMES,
         default="swapram",
         help="system to capture (default: swapram)",
     )

@@ -9,12 +9,10 @@ by the CLI's ``--compare-execute``, the perf-snapshot job and the
 equivalence test suite.
 """
 
-from repro.blockcache import build_blockcache
-from repro.core import build_swapram
-from repro.core.policy import POLICIES
-from repro.toolchain import PLANS, build_baseline
+from repro import systems
+from repro.toolchain import PLANS
 
-from repro.replay.capture import BASELINE, BLOCK, SWAPRAM
+from repro.replay.capture import SWAPRAM
 
 
 def execute_reference(
@@ -27,28 +25,15 @@ def execute_reference(
     slot_bytes=48,
     max_instructions=50_000_000,
 ):
-    """Build and fully execute one configuration; returns (target, result)."""
-    plan = PLANS[plan_name]
-    if system == BASELINE:
-        target = build_baseline(source, plan, frequency_mhz=frequency_mhz)
-    elif system == SWAPRAM:
-        target = build_swapram(
-            source,
-            plan,
-            frequency_mhz=frequency_mhz,
-            policy_class=POLICIES[policy],
-            cache_limit=cache_limit,
-        )
-    elif system == BLOCK:
-        target = build_blockcache(
-            source,
-            plan,
-            frequency_mhz=frequency_mhz,
-            cache_limit=cache_limit,
-            slot_bytes=slot_bytes,
-        )
-    else:
-        raise ValueError(f"unknown system {system!r}")
+    """Build and fully execute one configuration; returns (target, result).
+
+    *system* is any :mod:`repro.systems` name; the knobs it does not
+    take are ignored.
+    """
+    options = systems.spec(system).options
+    knobs = {"policy": policy, "cache_limit": cache_limit, "slot_bytes": slot_bytes}
+    knobs = {name: value for name, value in knobs.items() if name in options}
+    target = systems.build(system, source, PLANS[plan_name], frequency_mhz, **knobs)
     result = target.run(max_instructions=max_instructions)
     return target, result
 

@@ -35,12 +35,20 @@ executed instruction stream:
   point mid-run -- set ``DataCacheConfig(mode="through")`` to keep a
   run replayable.
 
+Which knobs a trace's replay takes at all is the captured system's
+:mod:`repro.systems` spec ``options``: a knob its builder does not take
+is refused (baseline and datacache take none, the block cache no
+policy or SwapRAM extension, SwapRAM no ``slot_bytes``).
+
 Anything outside these rules raises :class:`ReplayRefused` with the
 full list of reasons; callers that own a fallback (the experiment
 runner) log the reasons and execute normally instead.
 """
 
-SYSTEMS = ("baseline", "swapram", "block", "datacache")
+from repro import systems
+
+#: Every trace header ``system`` string: the registry's capture kinds.
+SYSTEMS = tuple(dict.fromkeys(spec.capture_kind for spec in systems.SPECS))
 
 
 class ReplayRefused(RuntimeError):
@@ -89,52 +97,35 @@ def check_request(
                 f"stream (baseline or datacache trace), not {system}"
             )
 
-    if system == "baseline":
-        for name, value in (
-            ("policy", policy),
-            ("cache_limit", cache_limit),
-            ("thrash_guard", thrash_guard),
-            ("prefetcher", prefetcher),
-            ("slot_bytes", slot_bytes),
-        ):
-            if value is not None:
-                reasons.append(f"baseline replay takes no {name}")
+    # A knob replays only where the captured system's builder takes it
+    # (the entries sharing a capture kind take the same knobs).
+    spec = next(spec for spec in systems.SPECS if spec.capture_kind == system)
+    for name, value in (
+        ("policy", policy),
+        ("cache_limit", cache_limit),
+        ("thrash_guard", thrash_guard),
+        ("prefetcher", prefetcher),
+        ("slot_bytes", slot_bytes),
+    ):
+        if value is not None and name not in spec.options:
+            reasons.append(f"{system} replay takes no {name}")
 
-    elif system == "datacache":
-        if config.get("mode") == "back":
-            reasons.append(
-                "this trace was captured with a write-back data cache "
-                "(capture_config mode='back'): deferred stores decouple "
-                "the durable FRAM write stream from the recorded store "
-                "events, so the trace does not witness FRAM state over "
-                "time and is not replayable -- recapture with "
-                "DataCacheConfig(mode='through')"
-            )
-        for name, value in (
-            ("policy", policy),
-            ("cache_limit", cache_limit),
-            ("thrash_guard", thrash_guard),
-            ("prefetcher", prefetcher),
-            ("slot_bytes", slot_bytes),
-        ):
-            if value is not None:
-                reasons.append(f"datacache replay takes no {name}")
-
-    elif system == "swapram":
-        if header.get("app_writes_cache_window"):
-            reasons.append(
-                "application writes into the SRAM cache window during "
-                "capture: cached code could alias data, so the event "
-                "stream is not execution-invariant"
-            )
-        if slot_bytes is not None:
-            reasons.append("slot_bytes is a block-cache knob")
-
+    if system == "datacache" and config.get("mode") == "back":
+        reasons.append(
+            "this trace was captured with a write-back data cache "
+            "(capture_config mode='back'): deferred stores decouple "
+            "the durable FRAM write stream from the recorded store "
+            "events, so the trace does not witness FRAM state over "
+            "time and is not replayable -- recapture with "
+            "DataCacheConfig(mode='through')"
+        )
+    elif system == "swapram" and header.get("app_writes_cache_window"):
+        reasons.append(
+            "application writes into the SRAM cache window during "
+            "capture: cached code could alias data, so the event "
+            "stream is not execution-invariant"
+        )
     elif system == "block":
-        if policy is not None:
-            reasons.append("block-cache replay takes no policy")
-        if thrash_guard is not None or prefetcher is not None:
-            reasons.append("thrash_guard/prefetcher are SwapRAM knobs")
         if cache_limit is not None and cache_limit != config.get("cache_limit"):
             reasons.append(
                 f"block-cache chaining patches application branches in "

@@ -1,12 +1,15 @@
-"""High-level build steps shared by all three systems under test.
+"""High-level build steps shared by every system under test.
 
 ``compile_program`` turns mini-C source into assembly and appends the
 generated startup code; ``build_baseline`` links it for a memory plan
 and returns a ready-to-run :class:`~repro.machine.board.Board` factory.
-The SwapRAM and block-cache builders (``repro.core.system`` /
-``repro.blockcache.system``) reuse these pieces around their
-transformation passes.
+The SwapRAM, block-cache and data-cache builders
+(``repro.core.system`` / ``repro.blockcache.system`` /
+``repro.datacache.system``) reuse these pieces around their
+transformation passes and return a :class:`System`.
 """
+
+from dataclasses import dataclass
 
 from repro.asm.parser import parse_asm
 from repro.machine.board import Board
@@ -24,6 +27,41 @@ _CRT0 = """
     MOV #1, &0x0202
 .endfunc
 """
+
+
+@dataclass
+class System:
+    """A loaded board plus the cache runtime attached to it.
+
+    *runtime* is ``None`` for the baseline (see :mod:`repro.systems`,
+    whose baseline entry wraps its board); *meta* is the
+    instrumentation pass's metadata, ``None`` where there is none.
+    """
+
+    board: Board
+    runtime: object = None
+    linked: object = None
+    meta: object = None
+
+    def run(self, max_instructions=50_000_000):
+        return self.board.run(max_instructions=max_instructions)
+
+    @property
+    def stats(self):
+        return None if self.runtime is None else self.runtime.stats
+
+    def size_report(self):
+        """Figure 7 decomposition for this binary (bytes of NVM)."""
+        sizes = self.linked.section_sizes
+        runtime, metadata = (
+            (0, 0) if self.runtime is None else self.runtime.nvm_bytes(sizes)
+        )
+        return {
+            "application": sizes["text"],
+            "runtime": runtime,
+            "metadata": metadata,
+            "const_data": sizes.get("rodata", 0),
+        }
 
 
 def add_startup(program):

@@ -113,3 +113,30 @@ def test_faults_subcommand_dispatches():
     code, output = run_cli("faults", "replay", "--schedule", "fixed:0.5")
     assert code == 2  # reaches the faults CLI (usage error, not argparse)
     assert "exactly one" in output
+
+
+@pytest.mark.parametrize(
+    "system, flags, option",
+    [
+        ("baseline", ("--thrash-guard",), "thrash_guard"),
+        ("block", ("--thrash-guard",), "thrash_guard"),
+        ("datacache", ("--cache-limit", "64"), "cache_limit"),
+    ],
+)
+def test_options_a_system_does_not_take_are_refused(
+    source_file, capsys, system, flags, option
+):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(source_file, "--system", system, *flags)
+    assert excinfo.value.code == 2
+    error = capsys.readouterr().err
+    assert f"'{system}'" in error and option in error
+
+
+@pytest.mark.parametrize(
+    "system", ["blockcache", "datacache-wt", "datacache-wb", "datacache-acp"]
+)
+def test_every_registry_name_is_a_system_choice(source_file, system):
+    code, output = run_cli(source_file, "--system", system, "--stats")
+    assert code == 0
+    assert "0x002a" in output and "cache stats" in output

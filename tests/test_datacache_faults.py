@@ -14,12 +14,8 @@ from repro.datacache.cache import DataCacheConfig
 from repro.datacache.demo import GUARD_MAGIC, build
 from repro.datacache.system import build_datacache
 from repro.faults.consistency import audit_datacache
-from repro.faults.harness import (
-    DATACACHE_VARIANTS,
-    SYSTEMS,
-    benchmark_target,
-    run_case,
-)
+from repro import systems
+from repro.faults.harness import benchmark_target, run_case
 from repro.toolchain import PLANS
 
 SCHEDULE = "fixed:0.08"  # inside dcguard's hazard window (see the demo)
@@ -32,9 +28,15 @@ def case_for(system):
 
 
 def test_fault_harness_knows_the_datacache_variants():
-    assert set(DATACACHE_VARIANTS) <= set(SYSTEMS)
-    assert DATACACHE_VARIANTS["datacache-wt"].mode == "through"
-    assert DATACACHE_VARIANTS["datacache-acp"].cleaning == "acp"
+    variants = ("datacache-wt", "datacache-wb", "datacache-acp")
+    assert set(variants) <= set(systems.NAMES)
+    source, _ = build()
+    configs = {
+        name: systems.build(name, source, PLANS["unified"]).runtime.config
+        for name in variants
+    }
+    assert configs["datacache-wt"].mode == "through"
+    assert configs["datacache-acp"].cleaning == "acp"
 
 
 def test_program_order_systems_survive_the_guard_idiom():

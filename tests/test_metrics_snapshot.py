@@ -278,3 +278,20 @@ def test_cli_compare_bad_file_exits_2(tmp_path, capsys):
     good.write_text("not json")
     assert repro_main(["bench", "compare", str(missing), str(good)]) == 2
     capsys.readouterr()
+
+
+def test_cli_snapshot_accepts_registry_names(tmp_path, capsys):
+    path = tmp_path / "block.json"
+    code = repro_main(
+        [
+            "bench", "snapshot", "--benchmarks", "crc", "--systems",
+            "blockcache", "--out", str(path), "--quiet",
+        ]
+    )
+    assert code == 0
+    document = json.loads(path.read_text())
+    assert validate_snapshot(document) == []
+    (row,) = document["runs"]
+    assert row["system"] == "blockcache"
+    assert row["stats"]["entries"] == row["stats"]["hits"] + row["stats"]["misses"]
+    capsys.readouterr()

@@ -127,3 +127,22 @@ def test_difftest_report_carries_full_results():
         assert record["total_cycles"] == cycles
         assert record["instructions"] > 0
         assert "energy_nj" in record
+
+
+def test_trace_subcommand_refuses_policy_for_baseline(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("trace", "crc", "--system", "baseline", "--policy", "stack")
+    assert excinfo.value.code == 2
+    error = capsys.readouterr().err
+    assert "'baseline'" in error and "policy" in error
+
+
+def test_trace_subcommand_accepts_every_registry_name(tmp_path):
+    out_path = tmp_path / "crc-wb.trace.json"
+    code, output = run_cli(
+        "trace", "crc", "--system", "datacache-wb", "--out", str(out_path)
+    )
+    assert code == 0
+    report = json.loads(out_path.with_suffix(".report.json").read_text())
+    total = sum(row["cycles"] for row in report["functions"])
+    assert total == report["result"]["total_cycles"]

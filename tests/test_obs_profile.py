@@ -4,10 +4,10 @@ from functools import partial
 
 import pytest
 
+from repro import systems
 from repro.bench import get_benchmark
 from repro.blockcache import build_blockcache
 from repro.core import build_swapram
-from repro.datacache import DataCacheConfig, build_datacache
 from repro.machine import PowerFailure, install_fused_counters
 from repro.obs import TraceSession
 from repro.toolchain import PLANS, build_baseline
@@ -33,22 +33,12 @@ def _trace(builder, **kwargs):
     return target, session, result
 
 
-BUILDERS = {
-    "baseline": build_baseline,
-    "swapram": build_swapram,
-    "blockcache": build_blockcache,
-    # The data cache sits below the bus entry points, so these two check
-    # that per-function traffic is read below it, where RunResult is.
-    "datacache-wt": partial(
-        build_datacache, config=DataCacheConfig(mode="through", cleaning="none")
-    ),
-    "datacache-wb": partial(build_datacache, config=DataCacheConfig()),
-}
-
-
-@pytest.fixture(params=sorted(BUILDERS), scope="module")
+# Every registry system. The data cache sits below the bus entry
+# points, so its entries check that per-function traffic is read below
+# it, where RunResult is.
+@pytest.fixture(params=sorted(systems.SYSTEMS), scope="module")
 def traced(request):
-    return _trace(BUILDERS[request.param])
+    return _trace(partial(systems.build, request.param))
 
 
 def test_exclusive_cycles_sum_exactly_to_total(traced):
