@@ -4,7 +4,7 @@ These are true pytest-benchmark measurements (multiple rounds): how
 fast the CPU core interprets, how fast the toolchain builds, and what
 SwapRAM's native-hook machinery costs in host time. Useful to catch
 performance regressions that would make the evaluation unbearably slow.
-Every run here is *metrics-detached* -- ``runtime.metrics`` stays
+Every run here is *metrics-detached* -- ``board.emit`` stays
 ``None`` -- so these numbers are the zero-overhead guard for the
 opt-in hooks in ``repro.obs`` and ``repro.metrics``. For persistent
 trajectory numbers, use ``python -m repro bench snapshot`` instead.

@@ -75,14 +75,6 @@ class BlockCacheRuntime:
         self.meta = meta
         self.costs = meta.cost_model
         self.stats = BlockCacheStats()
-        #: Opt-in observability hook (see :mod:`repro.obs.timeline`).
-        #: ``None`` by default; every use is behind an ``is not None``
-        #: guard so the untraced hot path is unchanged.
-        self.timeline = None
-        #: Opt-in metrics hook (see :mod:`repro.metrics.instrument`).
-        #: Same discipline as ``timeline``: ``None`` by default, every
-        #: use guarded by ``is not None``.
-        self.metrics = None
 
         symbols = image.symbols
         self.cur_addr = symbols[CUR_CFI]
@@ -157,11 +149,9 @@ class BlockCacheRuntime:
     def _flush(self):
         """Discard every cached block and clear the hash table."""
         self.stats.flushes += 1
-        if self.metrics is not None:
-            self.metrics.counter("blockcache.flushes").inc()
-        if self.timeline is not None:
-            self.timeline.record(
-                "flush",
+        if self.board.emit is not None:
+            self.board.emit(
+                "blockcache.flush",
                 size=(self.num_slots - len(self.free_slots)) * self.slot_bytes,
                 occupancy=0,
                 note=f"{len(self.cached_blocks)}-blocks",
@@ -179,9 +169,10 @@ class BlockCacheRuntime:
     def __call__(self, cpu):
         bus = self.bus
         costs = self.costs
+        emit = self.board.emit
         self.stats.entries += 1
-        if self.metrics is not None:
-            self.metrics.counter("blockcache.entries").inc()
+        if emit is not None:
+            emit("blockcache.entry")
         self.charger.begin_invocation()
         self.memcpy_charger.begin_invocation()
         flushes_before = self.stats.flushes
@@ -195,11 +186,9 @@ class BlockCacheRuntime:
             slot_addr = self._lookup(block_id)
             if slot_addr is not None:
                 self.stats.hits += 1
-                if self.metrics is not None:
-                    self.metrics.counter("blockcache.hits").inc()
-                if self.timeline is not None:
-                    self.timeline.record(
-                        "hit",
+                if emit is not None:
+                    emit(
+                        "blockcache.hit",
                         func=self.meta.blocks[block_id].function,
                         address=slot_addr,
                         note=self.meta.blocks[block_id].label,
@@ -216,13 +205,12 @@ class BlockCacheRuntime:
 
     def _cache_block(self, block_id):
         bus = self.bus
+        emit = self.board.emit
         self.stats.misses += 1
-        if self.metrics is not None:
-            self.metrics.counter("blockcache.misses").inc()
-        if self.timeline is not None:
+        if emit is not None:
             info = self.meta.blocks[block_id]
-            self.timeline.record(
-                "miss",
+            emit(
+                "blockcache.miss",
                 func=info.function,
                 note=info.label,
                 occupancy=(self.num_slots - len(self.free_slots)) * self.slot_bytes,
@@ -236,8 +224,8 @@ class BlockCacheRuntime:
         size = bus.read(self.blocktab + 4 * block_id + 2)
         words = (size + 1) // 2
         self.stats.words_copied += words
-        if self.metrics is not None:
-            self.metrics.histogram("blockcache.copied_words").observe(words)
+        if emit is not None:
+            emit("blockcache.copy", words=words)
         with bus.attributed(Attribution.MEMCPY):
             self.memcpy_charger.charge(
                 self.costs.memcpy_setup_instructions, Attribution.MEMCPY
@@ -253,9 +241,9 @@ class BlockCacheRuntime:
         label = self.meta.blocks[block_id].label
         counts = self.stats.per_block_caches
         counts[label] = counts.get(label, 0) + 1
-        if self.timeline is not None:
-            self.timeline.record(
-                "cache",
+        if emit is not None:
+            emit(
+                "blockcache.cache",
                 func=self.meta.blocks[block_id].function,
                 address=slot_addr,
                 size=size,
@@ -283,7 +271,7 @@ class BlockCacheRuntime:
         self.charger.charge(self.costs.chain_instructions)
         self.bus.write(source + 2, slot_addr)
         self.stats.chains += 1
-        if self.metrics is not None:
-            self.metrics.counter("blockcache.chains").inc()
-        if self.timeline is not None:
-            self.timeline.record("chain", address=source, note=f"->{slot_addr:#06x}")
+        if self.board.emit is not None:
+            self.board.emit(
+                "blockcache.chain", address=source, note=f"->{slot_addr:#06x}"
+            )

@@ -103,14 +103,6 @@ class SwapRamRuntime:
         self.thrash_guard = thrash_guard
         self.prefetcher = prefetcher
         self.stats = SwapRamStats()
-        #: Opt-in observability hook (see :mod:`repro.obs.timeline`).
-        #: ``None`` by default; every use is behind an ``is not None``
-        #: guard so the untraced hot path is unchanged.
-        self.timeline = None
-        #: Opt-in metrics hook (see :mod:`repro.metrics.instrument`).
-        #: Same discipline as ``timeline``: ``None`` by default, every
-        #: use guarded by ``is not None``.
-        self.metrics = None
 
         symbols = image.symbols
         self.cur_func_addr = symbols[CUR_FUNC]
@@ -150,9 +142,10 @@ class SwapRamRuntime:
         bus = self.bus
         costs = self.costs
         charge = self.handler_charger.charge
+        emit = self.board.emit
         self.stats.misses += 1
-        if self.metrics is not None:
-            self.metrics.counter("swapram.misses").inc()
+        if emit is not None:
+            emit("swapram.entry")
         self.handler_charger.begin_invocation()
         self.memcpy_charger.begin_invocation()
 
@@ -164,9 +157,9 @@ class SwapRamRuntime:
                 raise RuntimeError(f"miss handler: bad funcId {func_id}")
             nvm_addr = bus.read(self.functab_base + 4 * func_id)
             size = bus.read(self.functab_base + 4 * func_id + 2)
-            if self.timeline is not None:
-                self.timeline.record(
-                    "miss",
+            if emit is not None:
+                emit(
+                    "swapram.miss",
                     func=func.name,
                     func_id=func_id,
                     size=size,
@@ -196,11 +189,9 @@ class SwapRamRuntime:
             bus.write(self.redir_base + 2 * callee.func_id, node.address)
             self.prefetcher.note_prefetch()
             self.stats.prefetches += 1
-            if self.metrics is not None:
-                self.metrics.counter("swapram.prefetches").inc()
-            if self.timeline is not None:
-                self.timeline.record(
-                    "prefetch",
+            if self.board.emit is not None:
+                self.board.emit(
+                    "swapram.prefetch",
                     func=callee.name,
                     func_id=callee.func_id,
                     address=node.address,
@@ -215,16 +206,15 @@ class SwapRamRuntime:
         bus = self.bus
         costs = self.costs
         charge = self.handler_charger.charge
+        emit = self.board.emit
 
         charge(costs.decision_instructions)
         placement = self.policy.plan(size, is_active=self._is_active)
         if placement is None:
             self.stats.nvm_fallbacks += 1
-            if self.metrics is not None:
-                self.metrics.counter("swapram.nvm_fallbacks").inc()
-            if self.timeline is not None:
-                self.timeline.record(
-                    "nvm-fallback", func=func.name, func_id=func.func_id,
+            if emit is not None:
+                emit(
+                    "swapram.nvm-fallback", func=func.name, func_id=func.func_id,
                     note="no-placement",
                 )
             return nvm_addr
@@ -236,19 +226,17 @@ class SwapRamRuntime:
             freezes_before = self.stats.freezes
             frozen = self.thrash_guard.observe_miss(bool(placement.victims))
             self.stats.freezes = self.thrash_guard.freezes
-            if self.timeline is not None and self.stats.freezes > freezes_before:
-                self.timeline.record(
-                    "freeze", func=func.name, func_id=func.func_id,
+            if emit is not None and self.stats.freezes > freezes_before:
+                emit(
+                    "swapram.freeze", func=func.name, func_id=func.func_id,
                     occupancy=self.policy.used_bytes(),
                 )
             if frozen and placement.victims:
                 self.stats.frozen_fallbacks += 1
                 self.stats.nvm_fallbacks += 1
-                if self.metrics is not None:
-                    self.metrics.counter("swapram.nvm_fallbacks").inc()
-                if self.timeline is not None:
-                    self.timeline.record(
-                        "nvm-fallback", func=func.name, func_id=func.func_id,
+                if emit is not None:
+                    emit(
+                        "swapram.nvm-fallback", func=func.name, func_id=func.func_id,
                         note="frozen",
                     )
                 return nvm_addr
@@ -264,17 +252,14 @@ class SwapRamRuntime:
             if active:
                 self.stats.aborts += 1
                 self.stats.nvm_fallbacks += 1
-                if self.metrics is not None:
-                    self.metrics.counter("swapram.aborts").inc()
-                    self.metrics.counter("swapram.nvm_fallbacks").inc()
-                if self.timeline is not None:
+                if emit is not None:
                     victim_name = self.by_id[victim.func_id].name
-                    self.timeline.record(
-                        "abort", func=func.name, func_id=func.func_id,
+                    emit(
+                        "swapram.abort", func=func.name, func_id=func.func_id,
                         note=f"active-victim:{victim_name}",
                     )
-                    self.timeline.record(
-                        "nvm-fallback", func=func.name, func_id=func.func_id,
+                    emit(
+                        "swapram.nvm-fallback", func=func.name, func_id=func.func_id,
                         note="abort",
                     )
                 return nvm_addr
@@ -289,15 +274,9 @@ class SwapRamRuntime:
         bus.write(self.redir_base + 2 * func.func_id, node.address)
 
         self.stats.caches += 1
-        if self.metrics is not None:
-            self.metrics.counter("swapram.caches").inc()
-            self.metrics.histogram("swapram.cached_function_bytes").observe(size)
-            self.metrics.gauge("swapram.occupancy_bytes").set(
-                self.policy.used_bytes()
-            )
-        if self.timeline is not None:
-            self.timeline.record(
-                "cache", func=func.name, func_id=func.func_id,
+        if emit is not None:
+            emit(
+                "swapram.cache", func=func.name, func_id=func.func_id,
                 address=node.address, size=size,
                 occupancy=self.policy.used_bytes(),
             )
@@ -314,11 +293,9 @@ class SwapRamRuntime:
         """Reset a victim's metadata (paper §3.3.2)."""
         bus = self.bus
         self.stats.evictions += 1
-        if self.metrics is not None:
-            self.metrics.counter("swapram.evictions").inc()
-        if self.timeline is not None:
-            self.timeline.record(
-                "evict",
+        if self.board.emit is not None:
+            self.board.emit(
+                "swapram.evict",
                 func=self.by_id[victim.func_id].name,
                 func_id=victim.func_id,
                 address=victim.address,
@@ -340,8 +317,8 @@ class SwapRamRuntime:
         bus = self.bus
         words = (size + 1) // 2
         self.stats.words_copied += words
-        if self.metrics is not None:
-            self.metrics.histogram("swapram.copied_words").observe(words)
+        if self.board.emit is not None:
+            self.board.emit("swapram.copy", words=words)
         with bus.attributed(Attribution.MEMCPY):
             self.memcpy_charger.charge(
                 self.costs.memcpy_setup_instructions, Attribution.MEMCPY

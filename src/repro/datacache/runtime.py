@@ -68,10 +68,6 @@ class DataCacheRuntime:
         #: What the most recent power cycle dropped (possibly nothing);
         #: the post-reboot audit reports exactly this boot's losses.
         self.last_drop = []
-        #: Opt-in observability/metrics hooks, the runtimes' shared
-        #: discipline: ``None`` by default, every use behind a guard.
-        self.timeline = None
-        self.metrics = None
 
         self.handler_base = handler_base
         self.handler_charger = CostCharger(
@@ -182,8 +178,9 @@ class DataCacheRuntime:
         bus = self.bus
         costs = self.costs
         line = decision.line
-        if self.metrics is not None:
-            self.metrics.counter("datacache.fills").inc()
+        emit = self.board.emit
+        if emit is not None:
+            emit("datacache.fill")
         with bus.attributed(Attribution.RUNTIME):
             self.handler_charger.begin_invocation()
             self.handler_charger.charge(
@@ -196,9 +193,9 @@ class DataCacheRuntime:
                 source=model.fram_address(line.tag),
                 dest=model.line_address(line),
             )
-        if self.timeline is not None:
-            self.timeline.record(
-                "line-fill",
+        if emit is not None:
+            emit(
+                "datacache.line-fill",
                 address=model.fram_address(line.tag),
                 size=model.config.line_bytes,
                 occupancy=self._occupancy(),
@@ -213,11 +210,9 @@ class DataCacheRuntime:
             source=model.line_address(line),
             dest=model.fram_address(tag),
         )
-        if self.metrics is not None:
-            self.metrics.counter("datacache.writebacks").inc()
-        if self.timeline is not None:
-            self.timeline.record(
-                "writeback",
+        if self.board.emit is not None:
+            self.board.emit(
+                "datacache.writeback",
                 address=model.fram_address(tag),
                 size=model.config.line_bytes,
                 occupancy=self._occupancy(),
@@ -248,11 +243,9 @@ class DataCacheRuntime:
             with self.bus.attributed(Attribution.RUNTIME):
                 self.handler_charger.begin_invocation()
                 self.handler_charger.charge(self.costs.bypass_instructions)
-        if self.metrics is not None:
-            self.metrics.counter("datacache.bypasses").inc()
-        if self.timeline is not None:
-            self.timeline.record(
-                "bypass",
+        if self.board.emit is not None:
+            self.board.emit(
+                "datacache.bypass",
                 address=address,
                 note=f"{decision.cause}:{access_type}",
             )
@@ -279,11 +272,9 @@ class DataCacheRuntime:
             dest=model.fram_address(tag),
         )
         model.mark_clean(line, WB_CLEAN)
-        if self.metrics is not None:
-            self.metrics.counter("datacache.cleans").inc()
-        if self.timeline is not None:
-            self.timeline.record(
-                "clean",
+        if self.board.emit is not None:
+            self.board.emit(
+                "datacache.clean",
                 address=model.fram_address(tag),
                 size=model.config.line_bytes,
                 occupancy=self._occupancy(),
@@ -308,11 +299,9 @@ class DataCacheRuntime:
                     dest=model.fram_address(tag),
                 )
                 model.mark_clean(line, WB_FLUSH)
-                if self.metrics is not None:
-                    self.metrics.counter("datacache.flushes").inc()
-                if self.timeline is not None:
-                    self.timeline.record(
-                        "writeback",
+                if self.board.emit is not None:
+                    self.board.emit(
+                        "datacache.writeback",
                         address=model.fram_address(tag),
                         size=model.config.line_bytes,
                         occupancy=self._occupancy(),
@@ -325,14 +314,10 @@ class DataCacheRuntime:
         self.last_drop = dropped
         if dropped:
             self.lost_lines.append(dropped)
-            if self.metrics is not None:
-                self.metrics.counter("datacache.lost_dirty_lines").inc(
-                    len(dropped)
-                )
-            if self.timeline is not None:
+            if self.board.emit is not None:
                 for record in dropped:
-                    self.timeline.record(
-                        "lost-dirty",
+                    self.board.emit(
+                        "datacache.lost-dirty",
                         address=record["fram_address"],
                         size=self.model.config.line_bytes,
                     )

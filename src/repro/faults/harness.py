@@ -37,7 +37,9 @@ from repro.difftest.generator import generate_program
 from repro.faults.consistency import audit_system
 from repro.faults.schedule import parse_schedule
 from repro.machine.cpu import RunawayError, SimulationError
+from repro.machine.observe import observe
 from repro.machine.power import FusedAccessCounters, PowerFailure
+from repro.metrics.instrument import EventMetrics
 from repro.obs.timeline import Timeline
 from repro.toolchain.linker import PLANS
 
@@ -143,9 +145,7 @@ def run_golden(target, max_instructions=MAX_INSTRUCTIONS_PER_BOOT):
     """Build and run *target* uninterrupted, timeline attached."""
     system = build_target(target)
     board = system.board
-    timeline = Timeline(board.counters)
-    if system.runtime is not None:
-        system.runtime.timeline = timeline
+    timeline = observe(board, Timeline(board.counters))
     result = board.run(max_instructions=max_instructions)
     return GoldenRun(
         target=target,
@@ -274,9 +274,9 @@ def run_case(
 
     *golden* may be passed in to share one golden run across schedules.
     *metrics* is an optional :class:`~repro.metrics.registry.MetricsRegistry`
-    receiving ``faults.*`` counters; *timeline* an optional
-    :class:`~repro.obs.timeline.Timeline`-accepting flag: pass True to
-    record power-down/power-up (and runtime) events for replay output.
+    receiving the runtime's and the ``faults.*`` counters; *timeline* a
+    :class:`~repro.obs.timeline.Timeline` (True for a new one) recording
+    the runtime's and the power-down/power-up events for replay output.
     """
     if golden is None:
         golden = run_golden(target, max_instructions=max_instructions)
@@ -288,13 +288,12 @@ def run_case(
     system = build_target(target, counters=counters)
     board = system.board
     pristine = _capture_pristine_metadata(board) if recovery == "meta" else None
-    runtime = system.runtime
     if timeline is True:
         timeline = Timeline(counters)
-    if timeline is not None and runtime is not None:
-        runtime.timeline = timeline
-    if metrics is not None and runtime is not None:
-        runtime.metrics = metrics
+    if timeline is not None:
+        observe(board, timeline)
+    if metrics is not None:
+        observe(board, EventMetrics(metrics))
 
     boots = []
     classification = None
@@ -327,11 +326,9 @@ def run_case(
                 debug_words=list(board.bus.debug_words[debug_start:]),
             )
             boots.append(record)
-            if metrics is not None:
-                metrics.counter("faults.power_failures").inc()
-            if timeline is not None:
-                timeline.record(
-                    "power-down",
+            if board.emit is not None:
+                board.emit(
+                    "faults.power-down",
                     note=f"boot {boot}: {fuse_label} in {record.interrupted_in}",
                 )
             if boot >= max_reboots:
@@ -342,10 +339,8 @@ def run_case(
             if pristine is not None:
                 _recover_metadata(system, board, pristine)
             record.post_reboot_findings = audit_system(system, post_reboot=True)
-            if metrics is not None:
-                metrics.counter("faults.power_cycles").inc()
-            if timeline is not None:
-                timeline.record("power-up", note=f"boot {boot + 1}")
+            if board.emit is not None:
+                board.emit("faults.power-up", note=f"boot {boot + 1}")
             boot += 1
             continue
         except RunawayError as error:

@@ -113,6 +113,8 @@ class Board:
         self.image = None
         #: Subscribers of the observation seam (:mod:`repro.machine.observe`).
         self.observers = []
+        #: The subscribers' ``on_event`` handler, or ``None``.
+        self.emit = None
         self.bus.board = self
 
     # -- setup -----------------------------------------------------------------

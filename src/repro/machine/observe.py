@@ -7,13 +7,13 @@ An observer implements any subset of ``on_step()``, ``on_begin()``,
 ``bus.read`` and ``bus.write`` do their own work -- and
 ``on_retire(attribution, region_kind, cycles)`` and ``on_hook(address,
 cpu)``, called after ``counters.record_instruction`` and after a native
-hook returns. Handlers only read machine state, so their order cannot
-matter. Every :func:`observe`/:func:`unobserve` rebuilds the entry
-points from ``board.observers``: one wrapper where some subscriber
-handles an entry point, the class method everywhere else.
+hook returns, and ``on_event(kind, **fields)``, which is ``board.emit``
+(``None`` while no subscriber has it). Handlers only read machine
+state, so their order cannot matter. Every :func:`observe`/
+:func:`unobserve` rebuilds the entry points from ``board.observers``:
+one wrapper where some subscriber handles an entry point, the class
+method everywhere else.
 """
-
-from contextlib import suppress
 
 
 def observe(board, observer):
@@ -45,13 +45,18 @@ def install(board):
         (bus, "write", "on_write", _write),
         (board.counters, "record_instruction", "on_retire", _retire),
     ):
-        # delattr, not vars(): reading an instance's __dict__ makes
-        # every later attribute access on it slower.
-        with suppress(AttributeError):
+        # Delete only a wrapper set here: a failed delattr, like reading
+        # an instance's __dict__, makes every later attribute access on
+        # the instance slower.
+        if hasattr(getattr(target, name), "unobserved"):
             delattr(target, name)
         handler = _handler(board, event)
         if handler is not None:
-            setattr(target, name, wrap(getattr(target, name), handler))
+            original = getattr(target, name)
+            wrapper = wrap(original, handler)
+            wrapper.unobserved = original
+            setattr(target, name, wrapper)
+    board.emit = _handler(board, "on_event")
     on_hook = _handler(board, "on_hook")
     for address, hook in cpu.hooks.items():
         hook = getattr(hook, "unobserved", hook)
@@ -68,9 +73,9 @@ def _handler(board, name):
     if len(handlers) < 2:
         return handlers[0] if handlers else None
 
-    def fan_out(*args):
+    def fan_out(*args, **fields):
         for handler in handlers:
-            handler(*args)
+            handler(*args, **fields)
 
     return fan_out
 

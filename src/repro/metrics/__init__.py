@@ -3,9 +3,9 @@
 The metrics layer is the quantitative half of the observability story
 (:mod:`repro.obs` is the qualitative half): lightweight counters,
 gauges, histograms and phase timers with the same zero-cost-when-
-detached discipline -- the cache runtimes carry an opt-in ``metrics``
-hook that is ``None`` unless a :class:`MetricsSession` is attached, and
-a detached run executes the seed hot path unchanged.
+detached discipline -- a registry is one more subscriber of the
+observation seam (:mod:`repro.machine.observe`), and a board that no
+:class:`MetricsSession` observes has no event handler to call.
 
 * :mod:`repro.metrics.registry` -- the metric primitives and
   :class:`PhaseTimer`, the single host-timing code path;

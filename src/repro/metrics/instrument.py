@@ -1,13 +1,11 @@
 """Attaching metrics to built systems, and deriving rates from stats.
 
-:class:`MetricsSession` is the metrics twin of
-:class:`~repro.obs.session.TraceSession`: it hands a
-:class:`~repro.metrics.registry.MetricsRegistry` to the runtime's
-opt-in ``metrics`` hook (``SwapRamRuntime`` / ``BlockCacheRuntime``)
-and times the attached span through a :class:`PhaseTimer`. Attach and
-detach are idempotent and restore exactly what was there before, so a
-session can wrap any target -- including one that already carries a
-registry -- without clobbering it.
+:class:`EventMetrics` folds the events that the cache runtimes and the
+fault harness report through ``board.emit`` (:mod:`repro.machine.observe`)
+into a :class:`~repro.metrics.registry.MetricsRegistry`, by the one
+:data:`EVENT_METRICS` table. :class:`MetricsSession`, the metrics twin of
+:class:`~repro.obs.session.TraceSession`, observes a target's board
+with one and times the attached span through a :class:`PhaseTimer`.
 
 The derivation helpers turn the exact counters the runtimes already
 keep (:class:`~repro.core.runtime.SwapRamStats`,
@@ -17,48 +15,100 @@ snapshot gate tracks: miss/evict/abort rates, copied bytes, host
 instructions per second.
 """
 
+from repro.machine.observe import observe, unobserve
 from repro.metrics.registry import MetricsRegistry, PhaseTimer
 
 RUN_PHASE = "run"
 
 
+def _observe(name, field):
+    return lambda registry, fields: registry.histogram(name).observe(fields[field])
+
+
+def _swapram_cache(registry, fields):
+    registry.counter("swapram.caches").inc()
+    registry.histogram("swapram.cached_function_bytes").observe(fields["size"])
+    registry.gauge("swapram.occupancy_bytes").set(fields["occupancy"])
+
+
+def _datacache_writeback(registry, fields):
+    # One kind drains a line both on eviction and at the halt flush.
+    flush = fields["note"] == "flush"
+    registry.counter("datacache.flushes" if flush else "datacache.writebacks").inc()
+
+
+#: Event kind -> the counter it increments, or its registry update
+#: ``update(registry, fields)``. Kinds absent here (``swapram.miss``,
+#: ``swapram.freeze``, ``blockcache.cache``, ``datacache.line-fill``)
+#: only feed timelines; ``*.entry``, ``*.copy`` and ``datacache.fill``
+#: only feed metrics: they mark where the runtime starts the work,
+#: before any bus traffic a power failure could cut short.
+EVENT_METRICS = {
+    "swapram.entry": "swapram.misses",
+    "swapram.prefetch": "swapram.prefetches",
+    "swapram.nvm-fallback": "swapram.nvm_fallbacks",
+    "swapram.abort": "swapram.aborts",
+    "swapram.cache": _swapram_cache,
+    "swapram.evict": "swapram.evictions",
+    "swapram.copy": _observe("swapram.copied_words", "words"),
+    "blockcache.entry": "blockcache.entries",
+    "blockcache.hit": "blockcache.hits",
+    "blockcache.miss": "blockcache.misses",
+    "blockcache.flush": "blockcache.flushes",
+    "blockcache.copy": _observe("blockcache.copied_words", "words"),
+    "blockcache.chain": "blockcache.chains",
+    "datacache.fill": "datacache.fills",
+    "datacache.writeback": _datacache_writeback,
+    "datacache.bypass": "datacache.bypasses",
+    "datacache.clean": "datacache.cleans",
+    "datacache.lost-dirty": "datacache.lost_dirty_lines",
+    "faults.power-down": "faults.power_failures",
+    "faults.power-up": "faults.power_cycles",
+}
+
+
+class EventMetrics:
+    """A seam subscriber updating *registry* through :data:`EVENT_METRICS`."""
+
+    def __init__(self, registry):
+        self.registry = registry
+
+    def on_event(self, kind, **fields):
+        update = EVENT_METRICS.get(kind)
+        if isinstance(update, str):
+            self.registry.counter(update).inc()
+        elif update is not None:
+            update(self.registry, fields)
+
+
 class MetricsSession:
     """A live metrics attachment to one board/system."""
 
-    def __init__(self, target, registry, timer, previous):
+    def __init__(self, target, registry, timer):
         self.target = target
         self.registry = registry
         self.timer = timer
-        self._previous = previous
-        self._attached = True
+        self.board = getattr(target, "board", target)
+        self.subscriber = observe(self.board, EventMetrics(registry))
 
     @classmethod
     def attach(cls, target, registry=None, timer=None):
-        """Attach *registry* to the target's runtime hook (if any).
+        """Count the target's runtime events into *registry*.
 
         Works on a bare :class:`~repro.machine.board.Board` too -- the
-        registry then only receives derived metrics, never hot-path
-        updates, because baseline boards have no runtime.
+        registry then only receives derived metrics, because baseline
+        boards have no runtime to report events.
         """
         registry = registry if registry is not None else MetricsRegistry()
         timer = timer if timer is not None else PhaseTimer()
-        runtime = getattr(target, "runtime", None)
-        previous = getattr(runtime, "metrics", None)
-        if runtime is not None:
-            runtime.metrics = registry
         timer.start(RUN_PHASE)
-        return cls(target, registry, timer, previous)
+        return cls(target, registry, timer)
 
     def detach(self):
-        """Restore the runtime's previous hook value; idempotent."""
-        if not self._attached:
-            return self
-        self._attached = False
+        """Stop counting and close the run phase; idempotent."""
         if self.timer.running(RUN_PHASE):
             self.timer.stop(RUN_PHASE)
-        runtime = getattr(self.target, "runtime", None)
-        if runtime is not None:
-            runtime.metrics = self._previous
+        unobserve(self.board, self.subscriber)
         return self
 
     def __enter__(self):

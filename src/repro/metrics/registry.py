@@ -5,10 +5,10 @@ no bus traffic. A :class:`MetricsRegistry` is a named bag of metrics
 that serializes to plain data (``as_dict``) for the ``BENCH_*.json``
 snapshots and the comparison gate.
 
-The registry follows the same opt-in discipline as ``repro.obs``: the
-cache runtimes carry a ``metrics`` attribute that is ``None`` by
-default, and every hot-path use is guarded by ``is not None`` -- a
-detached run executes exactly the seed code path (see
+The registry follows the same opt-in discipline as ``repro.obs``: it
+hears the cache runtimes' events only through an
+:class:`~repro.metrics.instrument.EventMetrics` on the observation
+seam, and with no subscriber ``board.emit`` is ``None`` (see
 ``benchmarks/test_simulator_speed.py`` for the guard).
 
 :class:`PhaseTimer` is the one sanctioned way to measure host

@@ -5,7 +5,7 @@ any runnable the builders produce -- a baseline :class:`Board` or a
 :class:`~repro.toolchain.build.System` (see :mod:`repro.systems`):
 
 * a :class:`~repro.obs.timeline.Timeline` stamped from the board's
-  live counters, handed to the runtime's opt-in ``timeline`` hook;
+  live counters, subscribed to the runtime's events;
 * a :class:`~repro.obs.funcmap.FunctionMap` built for the system
   flavour (NVM symbols, runtime areas, live SRAM cache state);
 * a :class:`~repro.obs.collector.Collector` subscribed to the board's
@@ -20,6 +20,7 @@ Typical use::
     write_trace(path, perfetto_trace(session))
 """
 
+from repro.machine.observe import observe, unobserve
 from repro.metrics.registry import PhaseTimer
 from repro.obs.collector import Collector
 from repro.obs.funcmap import build_function_map
@@ -46,9 +47,7 @@ class TraceSession:
         timeline = Timeline(board, limit=events_limit)
         funcmap = build_function_map(target)
         collector = Collector(board, funcmap, timeline=timeline).attach()
-        runtime = getattr(target, "runtime", None)
-        if runtime is not None:
-            runtime.timeline = timeline
+        observe(board, timeline)
         # Host wall-clock flows through the shared PhaseTimer API (see
         # repro.metrics.registry): the attach->finish span brackets the
         # traced run.
@@ -61,9 +60,7 @@ class TraceSession:
             self.timer.stop(_TRACED_PHASE)
         self.collector.detach()
         self.collector.finish()
-        runtime = getattr(self.target, "runtime", None)
-        if runtime is not None:
-            runtime.timeline = None
+        unobserve(self.board, self.timeline)
         if result is None and self.board.bus.halted:
             result = self.board.result()
         self.result = result

@@ -9,10 +9,13 @@ return observed by the :mod:`repro.obs.collector` is recorded as a
 moment it happened and (for cache events) a snapshot of the SRAM cache
 occupancy.
 
-Recording is strictly opt-in: the runtimes carry a ``timeline``
-attribute that defaults to ``None`` and is only consulted behind an
-``is not None`` guard, so a board that never attaches a timeline pays
-nothing.
+A timeline subscribes to the observation seam
+(:mod:`repro.machine.observe`): the runtimes report each event once as
+``board.emit("<source>.<kind>", **fields)``, and :meth:`Timeline.on_event`
+keeps the kinds documented below. The collector records calls and
+returns straight into its own session's timeline. A board observed by
+no timeline pays nothing: ``board.emit`` is ``None`` and each emitting
+site is behind one ``is not None`` guard.
 """
 
 from dataclasses import dataclass
@@ -44,6 +47,13 @@ POWER_KINDS = ("power-down", "power-up")
 #: eviction- and halt-driven drains; ``clean`` is a cleaning-policy
 #: drain; ``lost-dirty`` marks a dirty line discarded by power loss.
 DATACACHE_KINDS = ("line-fill", "writeback", "clean", "bypass", "lost-dirty")
+
+#: What :meth:`Timeline.on_event` records. Emitters prefix each kind
+#: with their source, since the runtimes share names (``miss``,
+#: ``cache``) that count towards different metrics.
+RECORDED_KINDS = frozenset(
+    SWAPRAM_KINDS + BLOCKCACHE_KINDS + DATACACHE_KINDS + POWER_KINDS
+)
 
 
 @dataclass
@@ -115,32 +125,21 @@ class Timeline:
         """The board's current cycle count (the next event's stamp)."""
         return self.counters.total_cycles
 
-    def record(
-        self,
-        kind,
-        func="",
-        func_id=-1,
-        address=None,
-        size=None,
-        occupancy=None,
-        note="",
-    ):
-        """Append one event stamped with the current cycle count."""
+    def record(self, kind, **fields):
+        """Append one event (*fields* as :class:`TimelineEvent`'s) stamped
+        with the current cycle count."""
         if self.limit is not None and len(self.events) >= self.limit:
             self.dropped += 1
             return None
-        event = TimelineEvent(
-            cycle=self.counters.total_cycles,
-            kind=kind,
-            func=func,
-            func_id=func_id,
-            address=address,
-            size=size,
-            occupancy=occupancy,
-            note=note,
-        )
+        event = TimelineEvent(self.counters.total_cycles, kind, **fields)
         self.events.append(event)
         return event
+
+    def on_event(self, kind, **fields):
+        """Seam handler: record ``<source>.<kind>`` for a documented kind."""
+        kind = kind.partition(".")[2]
+        if kind in RECORDED_KINDS:
+            self.record(kind, **fields)
 
     def by_kind(self):
         """Event count per kind."""

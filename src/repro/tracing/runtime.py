@@ -12,7 +12,7 @@ with::
 
 When detached that is one global load and one ``is None`` test -- no
 object creation, no kwargs dict -- mirroring the zero-cost discipline
-of ``obs.timeline`` and ``metrics.hooks``. Forked workers inherit the
+of the observation seam's ``board.emit``. Forked workers inherit the
 slot (and the recorder's fork safety gives them their own per-PID log
 file); ``set_recorder`` returns the previous value so callers restore
 it in a ``finally``.

@@ -2,8 +2,9 @@
 
 The discipline under test mirrors ``repro.obs.collector``: when a
 registry is attached, its counters must agree *exactly* with the
-runtime's own stats totals; when nothing is attached, the runtimes must
-carry ``metrics is None`` so the hot path is the seed code path.
+runtime's own stats totals; when nothing is attached, the board has no
+subscriber and ``board.emit is None``, so the hot path is the seed code
+path.
 """
 
 import pytest
@@ -97,17 +98,20 @@ def test_blockcache_counters_equal_stats_totals():
 
 def test_runtime_metrics_default_is_none():
     system = build_swapram(EVICT_SOURCE, PLANS["unified"])
-    assert system.runtime.metrics is None
+    assert system.board.emit is None and system.board.observers == []
     system.run()
-    assert system.runtime.metrics is None
+    assert system.board.emit is None and system.board.observers == []
 
 
 def test_attach_detach_restores_original():
     system = build_swapram(EVICT_SOURCE, PLANS["unified"])
+    board = system.board
     session = MetricsSession.attach(system)
-    assert system.runtime.metrics is session.registry
+    assert board.observers == [session.subscriber]
+    assert board.emit == session.subscriber.on_event
+    assert session.subscriber.registry is session.registry
     session.detach()
-    assert system.runtime.metrics is None
+    assert board.emit is None and board.observers == []
 
 
 def test_detach_is_idempotent():
@@ -115,19 +119,28 @@ def test_detach_is_idempotent():
     session = MetricsSession.attach(system)
     session.detach()
     session.detach()
-    assert system.runtime.metrics is None
+    assert system.board.emit is None and system.board.observers == []
     assert not session.timer.running("run")
 
 
-def test_nested_attach_restores_outer_registry():
-    system = build_swapram(EVICT_SOURCE, PLANS["unified"])
+def test_nested_sessions_both_count():
+    system = build_swapram(EVICT_SOURCE, PLANS["unified"], cache_limit=400)
+    board = system.board
     outer = MetricsSession.attach(system)
     inner = MetricsSession.attach(system)
-    assert system.runtime.metrics is inner.registry
+    assert board.observers == [outer.subscriber, inner.subscriber]
+    system.run()
     inner.detach()
-    assert system.runtime.metrics is outer.registry
+    assert board.observers == [outer.subscriber]
     outer.detach()
-    assert system.runtime.metrics is None
+    assert board.emit is None and board.observers == []
+    stats = system.stats
+    assert stats.evictions > 0, "cache_limit did not force evictions"
+    for registry in (outer.registry, inner.registry):
+        assert _counter_value(registry, "swapram.misses") == stats.misses
+        assert _counter_value(registry, "swapram.caches") == stats.caches
+        assert _counter_value(registry, "swapram.evictions") == stats.evictions
+        assert registry["swapram.copied_words"].total == stats.words_copied
 
 
 def test_attach_on_baseline_board_is_harmless():
@@ -144,8 +157,8 @@ def test_attach_on_baseline_board_is_harmless():
 def test_context_manager_detaches():
     system = build_swapram(EVICT_SOURCE, PLANS["unified"])
     with MetricsSession.attach(system) as session:
-        assert system.runtime.metrics is session.registry
-    assert system.runtime.metrics is None
+        assert system.board.observers == [session.subscriber]
+    assert system.board.emit is None and system.board.observers == []
 
 
 # -- derived metrics ----------------------------------------------------------------

@@ -6,6 +6,7 @@ from repro.blockcache import build_blockcache
 from repro.core import build_swapram
 from repro.machine.trace import AccessCounters
 from repro.obs import TraceSession, Timeline, occupancy_intervals
+from repro.obs.timeline import SWAPRAM_KINDS
 from repro.toolchain import PLANS
 
 TWO_FUNCS = """
@@ -173,15 +174,19 @@ def test_live_occupancy_covers_every_cached_function():
 
 def test_runtime_timeline_defaults_to_none():
     system = build_swapram(TWO_FUNCS, PLANS["unified"])
-    assert system.runtime.timeline is None
+    assert system.board.emit is None and system.board.observers == []
     system.run()
-    assert system.runtime.timeline is None
+    assert system.board.emit is None and system.board.observers == []
 
 
 def test_finish_detaches_runtime_hook():
-    system, session, _ = _traced_run(TWO_FUNCS)
-    assert system.runtime.timeline is None
-    assert session.timeline.events  # recorded while attached
+    system = build_swapram(TWO_FUNCS, PLANS["unified"])
+    session = TraceSession.attach(system)
+    assert system.board.emit == session.timeline.on_event
+    assert session.timeline in system.board.observers
+    session.finish(system.run())
+    assert system.board.emit is None and system.board.observers == []
+    assert session.timeline.of_kind(*SWAPRAM_KINDS)  # recorded while attached
 
 
 def test_untraced_board_runs_unwrapped_hot_path():
