@@ -38,6 +38,7 @@ from repro.analysis.report import (
 )
 from repro.analysis.stream import AnalysisError, build_stream
 from repro.bench import BENCHMARK_NAMES, get_benchmark
+from repro.flags import add_run_flags
 from repro.replay.capture import CaptureError, capture_source
 from repro.replay.engine import ReplayEngine
 from repro.replay.schema import TraceDocument, TraceError
@@ -65,24 +66,7 @@ def _parser():
             metavar="DIR",
             help=f"trace store directory (default: {DEFAULT_ROOT})",
         )
-        sub.add_argument(
-            "--plan",
-            choices=sorted(PLANS),
-            default="unified",
-            help="memory plan when capturing (default: unified)",
-        )
-        sub.add_argument(
-            "--scale",
-            type=int,
-            default=1,
-            help="benchmark input scale when capturing (default: 1)",
-        )
-        sub.add_argument(
-            "--mhz",
-            type=float,
-            default=24,
-            help="CPU clock when capturing (default: 24)",
-        )
+        add_run_flags(sub, plan="unified", scale=1, mhz=24)
         sub.add_argument(
             "--line-bytes",
             type=int,

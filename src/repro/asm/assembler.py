@@ -83,9 +83,6 @@ class Image:
         base, size = self.section_extents["text"]
         return size
 
-    def section_size(self, section):
-        return self.section_extents.get(section, (0, 0))[1]
-
 
 def _align(value, alignment=2):
     return (value + alignment - 1) & ~(alignment - 1)

@@ -59,9 +59,7 @@ import argparse
 import sys
 
 from repro import systems
-from repro.core import ThrashGuard
-from repro.machine import PowerFailure, RunawayError
-from repro.toolchain import FitError, PLANS
+from repro.flags import add_run_flags, run_spec
 
 
 def _parser():
@@ -71,28 +69,15 @@ def _parser():
         "(SwapRAM reproduction).",
     )
     parser.add_argument("source", help="mini-C source file (or '-' for stdin)")
-    parser.add_argument(
-        "--system",
-        choices=systems.NAMES,
-        default="baseline",
-        help="execution system (default: baseline)",
-    )
-    parser.add_argument(
-        "--plan",
-        choices=sorted(PLANS),
-        default="unified",
-        help="memory placement plan (default: unified)",
-    )
-    parser.add_argument(
-        "--mhz", type=float, default=24, help="CPU clock in MHz (default: 24)"
-    )
-    parser.add_argument(
-        "--cache-limit", type=int, default=None, help="cap the SRAM cache (bytes)"
-    )
-    parser.add_argument(
-        "--thrash-guard",
-        action="store_true",
-        help="enable the freeze-on-thrash extension (swapram only)",
+    add_run_flags(
+        parser,
+        system="baseline",
+        plan="unified",
+        mhz=24,
+        cache_limit=None,
+        thrash_guard=False,
+        max_instructions=50_000_000,
+        max_cycles=None,
     )
     parser.add_argument(
         "--stats", action="store_true", help="print cache-runtime statistics"
@@ -108,18 +93,6 @@ def _parser():
         default=None,
         help="record a Perfetto trace of the run to PATH "
         "(a .report.json sidecar lands next to it)",
-    )
-    parser.add_argument(
-        "--max-instructions",
-        type=int,
-        default=50_000_000,
-        help="runaway guard (default: 5e7)",
-    )
-    parser.add_argument(
-        "--max-cycles",
-        type=int,
-        default=None,
-        help="cycle watchdog: exceeding it is a DNF (exit 2)",
     )
     return parser
 
@@ -182,54 +155,29 @@ def main(argv=None, out=sys.stdout):
         return datacache_main(argv[1:], out=out)
     parser = _parser()
     args = parser.parse_args(argv)
-    try:
-        options = systems.checked_options(
-            args.system,
-            cache_limit=args.cache_limit,
-            thrash_guard=ThrashGuard() if args.thrash_guard else None,
-        )
-    except ValueError as error:  # a knob the system does not take
-        parser.error(str(error))
     if args.source == "-":
         source = sys.stdin.read()
     else:
         with open(args.source) as handle:
             source = handle.read()
+    spec = run_spec(parser, args, source=source, label=args.source)
 
-    try:
-        system = systems.build(
-            args.system, source, PLANS[args.plan], args.mhz, **options
-        )
-    except FitError as error:
-        print(f"DNF: {error}", file=out)
-        return 2
-    board = system.board
-
-    if args.max_cycles is not None:
-        from repro.machine.power import install_fused_counters
-
-        install_fused_counters(board).cycle_fuse = args.max_cycles
-
-    session = None
+    attach = ()
     if args.trace:
         from repro.obs import TraceSession
 
-        session = TraceSession.attach(system)
-    try:
-        result = system.run(max_instructions=args.max_instructions)
-    except (PowerFailure, RunawayError) as error:
-        print(f"DNF: {error}", file=out)
+        attach = (TraceSession.attach,)
+    outcome = systems.run(spec, attach)
+    if outcome.dnf:
+        print(f"DNF: {outcome.error}", file=out)
         return 2
-    finally:
-        if session is not None:
-            session.finish()
+    system, result = outcome.system, outcome.result
     _print_report(result, out)
-    if session is not None:
+    if args.trace:
         from repro.obs import write_session_artifacts
 
-        session.result = result
         trace_path, report_path = write_session_artifacts(
-            session, args.trace, label=args.source
+            outcome.sessions[0], args.trace, label=args.source
         )
         print(f"trace        : {trace_path} (+ {report_path.name})", file=out)
 
@@ -238,14 +186,16 @@ def main(argv=None, out=sys.stdout):
     if args.listing:
         from repro.asm.disasm import listing
 
-        image = board.linked.image
+        image = system.linked.image
         base, size = image.section_extents["text"]
         print(file=out)
         print(
-            listing(board.memory.read_word, base, base + size, image.symbols),
+            listing(system.board.memory.read_word, base, base + size, image.symbols),
             file=out,
         )
-    return 0
+    for problem in outcome.problems:
+        print(f"problem      : {problem}", file=out)
+    return 1 if outcome.problems else 0
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.flags import add_run_flags
 from repro.sweep.campaigns import datacache_campaign
 from repro.sweep.units import UnitError, execute_unit
 
@@ -61,7 +62,7 @@ def _parser():
         default=["16x2x16", "8x2x16", "16x2x8"],
         metavar="SxWxL",
     )
-    sweep.add_argument("--scale", type=int, default=1)
+    add_run_flags(sweep, scale=1)
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument(
         "--out", default=DEFAULT_OUT, help=f"output path (default: {DEFAULT_OUT})"

@@ -22,6 +22,7 @@ from pathlib import Path
 from repro.difftest.generator import generate_program
 from repro.difftest.runner import full_matrix, quick_matrix, run_differential
 from repro.difftest.shrink import shrink, shrink_report
+from repro.flags import add_campaign_flags, use_build_cache
 
 
 def _parser():
@@ -61,25 +62,10 @@ def _parser():
         default=200,
         help="max differential runs the shrinker may spend per divergence",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="shard the seeds across N worker processes via the sweep "
+    add_campaign_flags(
+        parser,
+        jobs_help="shard the seeds across N worker processes via the sweep "
         "engine (divergent seeds are then re-run inline for shrinking)",
-    )
-    parser.add_argument(
-        "--build-cache",
-        default=None,
-        metavar="DIR",
-        help="persist compiled programs under DIR across runs "
-        "(same as REPRO_BUILD_CACHE)",
-    )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="record orchestration-plane spans for the --jobs campaign "
-        "(see docs/tracing.md)",
     )
     return parser
 
@@ -112,14 +98,9 @@ def dump_divergence_trace(directory, report, program):
     the partial run; build failures yield nothing. Returns the trace
     path or None.
     """
-    from repro.difftest.runner import (
-        MAX_INSTRUCTIONS,
-        build_system,
-        full_matrix,
-        quick_matrix,
-    )
     from repro.machine.cpu import SimulationError
     from repro.obs import TraceSession, write_session_artifacts
+    from repro.systems import run
 
     first = report.divergences[0]
     pool = full_matrix() + quick_matrix()
@@ -127,17 +108,21 @@ def dump_divergence_trace(directory, report, program):
     if not matching:
         return None  # 'reference'/generator divergences have no config
     config = matching[0]
+    sessions = []
+
+    def trace(system):
+        sessions.append(TraceSession.attach(system))
+        return sessions[-1]
+
     try:
-        runnable = build_system(config, program.render())
-    except Exception:
-        return None
-    session = TraceSession.attach(runnable)
-    try:
-        runnable.run(max_instructions=MAX_INSTRUCTIONS)
+        run(config.spec(program.render()), (trace,))
     except SimulationError:
         pass  # the partial trace is exactly what the crash needs
-    finally:
-        session.finish()
+    except Exception:
+        return None  # build failures leave nothing to trace
+    if not sessions:
+        return None  # the binary did not fit
+    session = sessions[0]
     path = Path(directory) / f"seed{report.seed}.trace.json"
     trace_path, _report_path = write_session_artifacts(
         session,
@@ -215,10 +200,7 @@ def _pooled_seeds(args, out):
 
 def main(argv=None, out=sys.stdout):
     args = _parser().parse_args(argv)
-    if args.build_cache is not None:
-        from repro.toolchain import BUILD_CACHE
-
-        BUILD_CACHE.attach_disk(args.build_cache)
+    use_build_cache(args)
     configs = quick_matrix() if args.quick else full_matrix()
 
     failures = 0

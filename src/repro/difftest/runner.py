@@ -36,7 +36,7 @@ from repro.blockcache.transform import BlockTransformError
 from repro.core.transform import TransformError
 from repro.machine.cpu import SimulationError
 from repro.minic.codegen import CompileError
-from repro.toolchain.linker import PLANS, FitError
+from repro.toolchain.linker import PLANS
 
 #: Instruction bound per simulated run; generated programs finish in
 #: well under 100k instructions, so hitting this means runaway code.
@@ -54,7 +54,8 @@ CYCLE_HARD_TOLERANCE = 3.00
 
 @dataclass(frozen=True)
 class ExecConfig:
-    """One execution configuration in the differential matrix."""
+    """One execution configuration in the differential matrix: a
+    :class:`~repro.systems.RunSpec` still missing its program."""
 
     kind: str  # a repro.systems name: 'baseline' | 'swapram' | 'blockcache'
     plan: str = "unified"
@@ -69,6 +70,18 @@ class ExecConfig:
         if self.cache_limit is not None:
             parts.append(f"limit{self.cache_limit}")
         return "/".join(parts)
+
+    def spec(self, source):
+        """The run of *source* under this configuration."""
+        return systems.RunSpec(
+            source,
+            self.kind,
+            label=self.name,
+            policy=self.policy,
+            cache_limit=self.cache_limit,
+            plan=self.plan,
+            max_instructions=MAX_INSTRUCTIONS,
+        )
 
 
 @dataclass
@@ -169,32 +182,6 @@ def corrupt_one_reloc(system):
     return False
 
 
-def build_system(config, source, fault=None):
-    """Build (without running) the system for one configuration.
-
-    Split out from :func:`_build_and_run` so callers (the trace dumper,
-    observability tooling) can attach instrumentation before the run
-    starts. *fault* (system -> None) is applied to SwapRAM systems.
-    Raises FitError and friends.
-    """
-    system = systems.build(
-        config.kind,
-        source,
-        PLANS[config.plan],
-        policy=config.policy,
-        cache_limit=config.cache_limit,
-    )
-    if fault is not None and config.kind == "swapram":
-        fault(system)
-    return system
-
-
-def _build_and_run(config, source, fault=None):
-    """Returns (result, system); raises FitError and friends."""
-    system = build_system(config, source, fault)
-    return system.run(max_instructions=MAX_INSTRUCTIONS), system
-
-
 def _pack(values, element_bytes, element_mask):
     data = bytearray()
     for value in values:
@@ -285,13 +272,14 @@ def run_differential(program_or_seed, configs=None, fault=None):
         )
         return report
 
+    def inject(system):
+        fault(system)
+
     for config in configs:
         name = config.name
+        attach = (inject,) if fault is not None and config.kind == "swapram" else ()
         try:
-            result, system = _build_and_run(config, report.source, fault)
-        except FitError as exc:
-            report.outcomes[name] = "DNF"
-            continue
+            outcome = systems.run(config.spec(report.source), attach)
         except SimulationError as exc:
             report.outcomes[name] = "crashed"
             report.divergences.append(
@@ -305,6 +293,16 @@ def run_differential(program_or_seed, configs=None, fault=None):
                 Divergence(program.seed, name, "build", repr(exc))
             )
             continue
+        if outcome.dnf == "fit":
+            report.outcomes[name] = "DNF"
+            continue
+        if outcome.dnf:  # the instruction guard: runaway code
+            report.outcomes[name] = "crashed"
+            report.divergences.append(
+                Divergence(program.seed, name, "crash", repr(outcome.error))
+            )
+            continue
+        result, system = outcome.result, outcome.system
 
         report.outcomes[name] = "ok"
         report.results[name] = result.as_dict()
@@ -323,7 +321,7 @@ def run_differential(program_or_seed, configs=None, fault=None):
             report.divergences.append(
                 Divergence(program.seed, name, "memory", problem)
             )
-        for violation in systems.spec(config.kind).problems(system):
+        for violation in outcome.problems:
             report.divergences.append(
                 Divergence(program.seed, name, "invariant", violation)
             )

@@ -13,10 +13,10 @@
 """
 
 from repro.bench import get_benchmark
-from repro.core import build_swapram
 from repro.machine.board import Board
 from repro.machine.fram_cache import FramReadCache
-from repro.toolchain import PLANS, build_baseline
+from repro.systems import RunSpec, run
+from repro.toolchain import PLANS
 from repro.toolchain.build import compile_program
 from repro.toolchain.linker import link
 
@@ -62,13 +62,12 @@ def cache_size_sweep(benchmark_name, cache_sizes, frequency_mhz=24,
         return _cache_size_sweep_pooled(
             benchmark_name, cache_sizes, frequency_mhz, engine, jobs
         )
-    bench = get_benchmark(benchmark_name)
-    plan = PLANS["unified"]
-    baseline = build_baseline(bench.source, plan, frequency_mhz).run()
+    baseline = run(RunSpec.of(benchmark_name, mhz=frequency_mhz)).checked().result
     rows = []
     if engine == "replay":
         from repro.replay import ReplayEngine, capture_source
 
+        bench = get_benchmark(benchmark_name)
         document, _, _ = capture_source(
             bench.source,
             system="swapram",
@@ -87,12 +86,13 @@ def cache_size_sweep(benchmark_name, cache_sizes, frequency_mhz=24,
             )
         return rows
     for cache_size in cache_sizes:
-        system = build_swapram(
-            bench.source, plan, frequency_mhz, cache_limit=cache_size
+        spec = RunSpec.of(
+            benchmark_name, system="swapram", cache_limit=cache_size, mhz=frequency_mhz
         )
-        result = system.run()
-        assert result.debug_words == bench.expected
-        rows.append(_sweep_row(cache_size, baseline, result, system.stats))
+        outcome = run(spec).checked()
+        rows.append(
+            _sweep_row(cache_size, baseline, outcome.result, outcome.system.stats)
+        )
     return rows
 
 

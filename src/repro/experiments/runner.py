@@ -23,11 +23,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro import systems
 from repro.bench import get_benchmark
-from repro.machine import PowerFailure, RunawayError, install_fused_counters
 from repro.metrics.registry import PhaseTimer
-from repro.toolchain import FitError, PLANS
+from repro.systems import RunSpec, run
+from repro.toolchain import FitError
 
 BASELINE = "baseline"
 SWAPRAM = "swapram"
@@ -134,9 +133,22 @@ class ExperimentRunner:
             self._sources[benchmark] = get_benchmark(benchmark, scale=self.scale)
         return self._sources[benchmark]
 
-    def _arm_watchdog(self, board):
-        if self.max_cycles is not None:
-            install_fused_counters(board).cycle_fuse = self.max_cycles
+    def _spec(self, benchmark, system, frequency_mhz=24, plan_name="unified",
+             cache_reserve=0):
+        """The :class:`~repro.systems.RunSpec` of one point."""
+        program = self.source(benchmark)
+        return RunSpec(
+            program.source,
+            system,
+            expected=program.expected,
+            label=benchmark,
+            plan=plan_name,
+            cache_reserve=cache_reserve,
+            mhz=frequency_mhz,
+            scale=self.scale,
+            max_instructions=self.max_instructions,
+            max_cycles=self.max_cycles,
+        )
 
     def run(
         self,
@@ -167,12 +179,6 @@ class ExperimentRunner:
         logger.info("replay fallback for %s: %s", key, reason)
         return self._execute(*point)
 
-    def _plan_for(self, plan_name, cache_reserve):
-        plan = PLANS[plan_name]
-        if cache_reserve:
-            plan = plan.with_cache_reserve(cache_reserve)
-        return plan
-
     def _capture_engine(self, benchmark, system, plan_name, cache_reserve):
         """Capture (or load) the trace for a point; memoized per plan.
 
@@ -180,35 +186,28 @@ class ExperimentRunner:
         the underlying build and capture; callers map those onto DNF
         rows or execution fallback.
         """
-        from repro.replay.capture import capture_run
+        from repro.replay.capture import capture
         from repro.replay.engine import ReplayEngine
 
         key = (benchmark, system, plan_name, cache_reserve)
         if key in self._engines:
             return self._engines[key], 0.0
-        program = self.source(benchmark)
-        plan = self._plan_for(plan_name, cache_reserve)
+        spec = self._spec(benchmark, system, plan_name=plan_name,
+                         cache_reserve=cache_reserve)
         timer = PhaseTimer()
         document = None
         if self.trace_store is not None:
             from dataclasses import asdict as plan_asdict
 
             document = self.trace_store.load(
-                systems.spec(system).capture_kind,
-                plan_asdict(plan),
+                spec.entry.capture_kind,
+                plan_asdict(spec.memory_plan),
                 self.scale,
-                program.source,
+                spec.source,
             )
         if document is None:
             with timer.phase("capture"):
-                target = systems.build(system, program.source, plan)
-                document, _ = capture_run(
-                    target,
-                    program.source,
-                    benchmark=benchmark,
-                    scale=self.scale,
-                    max_instructions=self.max_instructions,
-                )
+                document, _, _ = capture(spec, benchmark=benchmark)
             if self.trace_store is not None:
                 self.trace_store.save(document)
         engine = ReplayEngine(document)
@@ -243,7 +242,7 @@ class ExperimentRunner:
             record.dnf_reason = f"fit: {error}"
             return record
         except CaptureError as error:
-            # capture_run wraps RunawayError; re-executing would only
+            # capture wraps RunawayError; re-executing would only
             # spin through the same guard again.
             record.dnf = True
             record.dnf_reason = f"watchdog: {error}"
@@ -270,43 +269,29 @@ class ExperimentRunner:
         return record
 
     def _execute(self, benchmark, system, frequency_mhz, plan_name, cache_reserve):
-        program = self.source(benchmark)
-        plan = self._plan_for(plan_name, cache_reserve)
+        outcome = run(
+            self._spec(benchmark, system, frequency_mhz, plan_name, cache_reserve)
+        )
         record = RunRecord(
             benchmark=benchmark,
             system=system,
             frequency_mhz=frequency_mhz,
             plan_name=plan_name,
+            host_build_s=outcome.timer.seconds("compile")
+            + outcome.timer.seconds("build"),
+            host_run_s=outcome.timer.seconds("run"),
         )
-        timer = PhaseTimer()
-        try:
-            with timer.phase("build"):
-                built = systems.build(system, program.source, plan, frequency_mhz)
-            self._arm_watchdog(built.board)
-            with timer.phase("run"):
-                result = built.run(max_instructions=self.max_instructions)
-            record.section_sizes = dict(built.linked.section_sizes)
-            if built.runtime is not None:
-                record.size_report = built.size_report()
-                record.runtime_stats = built.stats
-        except FitError as error:
+        if outcome.dnf:
             record.dnf = True
-            record.dnf_reason = f"fit: {error}"
+            record.dnf_reason = outcome.dnf_reason
             return record
-        except (PowerFailure, RunawayError) as error:
-            record.dnf = True
-            record.dnf_reason = f"watchdog: {error}"
-            return record
-        finally:
-            record.host_build_s = timer.seconds("build")
-            record.host_run_s = timer.seconds("run")
-        record.result = result
-        record.correct = result.debug_words == program.expected
-        if not record.correct:
-            raise AssertionError(
-                f"{benchmark}/{system}: wrong output "
-                f"{result.debug_words} != {program.expected}"
-            )
+        built = outcome.checked().system
+        record.section_sizes = dict(built.linked.section_sizes)
+        if built.runtime is not None:
+            record.size_report = built.size_report()
+            record.runtime_stats = built.stats
+        record.result = outcome.result
+        record.correct = True
         return record
 
     def size_only(self, benchmark, system, plan_name="unified"):
@@ -315,9 +300,7 @@ class ExperimentRunner:
             benchmark=benchmark, system=system, frequency_mhz=0, plan_name=plan_name
         )
         try:
-            built = systems.build(
-                system, self.source(benchmark).source, PLANS[plan_name]
-            )
+            built = self._spec(benchmark, system, plan_name=plan_name).build()
         except FitError:
             record.dnf = True
             return record

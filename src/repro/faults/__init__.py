@@ -28,7 +28,6 @@ from repro.faults.harness import (
     BootRecord,
     CaseReport,
     FaultSweep,
-    FaultTarget,
     GoldenRun,
     benchmark_target,
     difftest_target,
@@ -53,7 +52,6 @@ __all__ = [
     "BootRecord",
     "CaseReport",
     "FaultSweep",
-    "FaultTarget",
     "GoldenRun",
     "benchmark_target",
     "difftest_target",

@@ -19,9 +19,9 @@ files -- CI diffs them to enforce it. Classifications other than
 wrong-result after a reboot even on the baseline system -- so a
 completed sweep always exits 0 and CI asserts on the JSON report.
 
-``replay`` re-runs a single case with an observability timeline
-attached and prints the boot-by-boot story: where each fuse blew, what
-the post-reboot audit found, and the final classification.
+``replay`` re-runs a single case and prints the boot-by-boot story:
+where each fuse blew, what the post-reboot audit found, and the final
+classification.
 """
 
 import argparse
@@ -39,6 +39,7 @@ from repro.faults.harness import (
     run_case,
 )
 from repro.faults.schedule import ScheduleError, parse_schedule
+from repro.flags import add_campaign_flags, add_run_flags, use_build_cache
 from repro.metrics.registry import MetricsRegistry
 
 DEFAULT_BENCHMARKS = ("crc", "rsa")
@@ -55,7 +56,7 @@ def _parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run a targets x schedules campaign")
-    replay = sub.add_parser("replay", help="re-run one case with a timeline")
+    replay = sub.add_parser("replay", help="re-run one case, boot by boot")
     for cmd in (sweep, replay):
         cmd.add_argument(
             "--seed", type=int, default=1, help="campaign seed (default: 1)"
@@ -67,20 +68,12 @@ def _parser():
             help=f"reboot watchdog per case (default: {MAX_REBOOTS})",
         )
         cmd.add_argument(
-            "--max-instructions",
-            type=int,
-            default=MAX_INSTRUCTIONS_PER_BOOT,
-            help="per-boot instruction budget",
-        )
-        cmd.add_argument(
             "--recovery",
             choices=("none", "meta"),
             default="none",
             help="reboot recovery model (default: none, the paper's system)",
         )
-        cmd.add_argument(
-            "--scale", type=int, default=1, help="benchmark scale (default: 1)"
-        )
+        add_run_flags(cmd, max_instructions=MAX_INSTRUCTIONS_PER_BOOT, scale=1)
 
     sweep.add_argument(
         "--benchmarks",
@@ -113,34 +106,17 @@ def _parser():
         default="results/faults",
         help="report directory (default: results/faults)",
     )
-    sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="shard the matrix across N worker processes via the sweep "
+    add_campaign_flags(
+        sweep,
+        jobs_help="shard the matrix across N worker processes via the sweep "
         "engine (the report stays byte-identical to --jobs 1)",
-    )
-    sweep.add_argument(
-        "--build-cache",
-        default=None,
-        metavar="DIR",
-        help="persist compiled programs under DIR across runs "
-        "(same as REPRO_BUILD_CACHE)",
-    )
-    sweep.add_argument(
-        "--trace",
-        action="store_true",
-        help="record orchestration-plane spans for the --jobs campaign "
-        "(see docs/tracing.md)",
     )
 
     replay.add_argument("--benchmark", help="benchmark name to replay")
     replay.add_argument(
         "--difftest-seed", type=int, help="difftest program seed to replay"
     )
-    replay.add_argument(
-        "--system", choices=systems.NAMES, default="swapram", help="system under test"
-    )
+    add_run_flags(replay, system="swapram")
     replay.add_argument(
         "--schedule", default="adversarial:memcpy", help="fault schedule spec"
     )
@@ -272,10 +248,7 @@ def _merge_metric(total, metric):
 
 def run_sweep(args, out):
     _check_schedules(args.schedules)
-    if args.build_cache is not None:
-        from repro.toolchain import BUILD_CACHE
-
-        BUILD_CACHE.attach_disk(args.build_cache)
+    use_build_cache(args)
     if args.jobs > 1:
         cases, metrics = _parallel_cases(args, out)
     else:
@@ -333,7 +306,6 @@ def run_replay(args, out):
         max_reboots=args.max_reboots,
         max_instructions=args.max_instructions,
         recovery=args.recovery,
-        timeline=True,
     )
 
     print(f"case   : {target.name}  {args.schedule}  seed={args.seed}", file=out)

@@ -30,9 +30,8 @@ dangling/stale/stuck finding at the cost of losing all cached state.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro import systems
 from repro.difftest.generator import generate_program
 from repro.faults.consistency import audit_system
 from repro.faults.schedule import parse_schedule
@@ -41,7 +40,7 @@ from repro.machine.observe import observe
 from repro.machine.power import FusedAccessCounters, PowerFailure
 from repro.metrics.instrument import EventMetrics
 from repro.obs.timeline import Timeline
-from repro.toolchain.linker import PLANS
+from repro.systems import RunSpec, run
 
 #: Default per-boot instruction budget; quick benchmarks retire ~200k
 #: instructions, so 5M means a boot is decisively hung, not just slow.
@@ -54,22 +53,8 @@ MAX_REBOOTS = 16
 #: FRAM sections restored by ``recovery='meta'`` (whichever exist).
 RECOVERY_SECTIONS = ("srmeta", "srruntime", "bbmeta", "bbstubs", "bbruntime")
 
-@dataclass(frozen=True)
-class FaultTarget:
-    """One program/system/plan coordinate of the sweep matrix."""
-
-    label: str
-    source: str = field(repr=False, default="")
-    system: str = "swapram"  # a repro.systems name
-    plan: str = "unified"
-    policy: str = None  # swapram only; None is the builder's default
-
-    @property
-    def name(self):
-        return f"{self.label}/{self.system}/{self.plan}"
-
-
 def benchmark_target(benchmark, system, plan="unified", scale=1):
+    """A benchmark (or the ``dcguard`` demo) as a fault target."""
     if benchmark == "dcguard":
         # The write-back crash-hazard demo program (not a Table 1
         # benchmark): a persistent init-flag guard whose durability
@@ -77,37 +62,21 @@ def benchmark_target(benchmark, system, plan="unified", scale=1):
         from repro.datacache.demo import build
 
         source, _ = build(scale=scale)
-        return FaultTarget(label=benchmark, source=source, system=system, plan=plan)
-    from repro.bench import get_benchmark
-
-    program = get_benchmark(benchmark, scale=scale)
-    return FaultTarget(label=benchmark, source=program.source, system=system, plan=plan)
+        return RunSpec(source, system, label=benchmark, plan=plan, scale=scale)
+    return RunSpec.of(benchmark, scale=scale, system=system, plan=plan)
 
 
 def difftest_target(seed, system, plan="unified", size="small"):
     """A seeded difftest-generated program as a fault target."""
     program = generate_program(seed, size=size)
-    return FaultTarget(
-        label=f"difftest{seed}", source=program.render(), system=system, plan=plan
-    )
-
-
-def build_target(target, counters=None):
-    """Build (without running) one target's :class:`~repro.systems.System`."""
-    return systems.build(
-        target.system,
-        target.source,
-        PLANS[target.plan],
-        policy=target.policy,
-        counters=counters,
-    )
+    return RunSpec(program.render(), system, label=f"difftest{seed}", plan=plan)
 
 
 @dataclass
 class GoldenRun:
     """The never-interrupted reference execution of one target."""
 
-    target: FaultTarget
+    target: RunSpec
     debug_words: list
     output_text: str
     total_cycles: int
@@ -142,11 +111,17 @@ def _persistent_data_sections(board):
 
 
 def run_golden(target, max_instructions=MAX_INSTRUCTIONS_PER_BOOT):
-    """Build and run *target* uninterrupted, timeline attached."""
-    system = build_target(target)
-    board = system.board
-    timeline = observe(board, Timeline(board.counters))
-    result = board.run(max_instructions=max_instructions)
+    """Run *target* uninterrupted, timeline attached."""
+    timelines = []
+
+    def timeline(system):
+        timelines.append(observe(system.board, Timeline(system.board.counters)))
+
+    outcome = run(replace(target, max_instructions=max_instructions), (timeline,))
+    if outcome.dnf:
+        raise outcome.error
+    board = outcome.system.board
+    result = outcome.result
     return GoldenRun(
         target=target,
         debug_words=list(result.debug_words),
@@ -154,7 +129,7 @@ def run_golden(target, max_instructions=MAX_INSTRUCTIONS_PER_BOOT):
         total_cycles=result.total_cycles,
         energy_nj=result.energy_nj,
         data_sections=_persistent_data_sections(board),
-        timeline_events=list(timeline.events),
+        timeline_events=list(timelines[0].events),
     )
 
 
@@ -192,7 +167,7 @@ class BootRecord:
 class CaseReport:
     """Everything one fault case observed."""
 
-    target: FaultTarget
+    target: RunSpec
     schedule: str
     seed: int
     recovery: str
@@ -268,15 +243,12 @@ def run_case(
     max_instructions=MAX_INSTRUCTIONS_PER_BOOT,
     recovery="none",
     metrics=None,
-    timeline=None,
 ):
     """Run one fault case to classification; returns a :class:`CaseReport`.
 
     *golden* may be passed in to share one golden run across schedules.
     *metrics* is an optional :class:`~repro.metrics.registry.MetricsRegistry`
-    receiving the runtime's and the ``faults.*`` counters; *timeline* a
-    :class:`~repro.obs.timeline.Timeline` (True for a new one) recording
-    the runtime's and the power-down/power-up events for replay output.
+    receiving the runtime's and the ``faults.*`` counters.
     """
     if golden is None:
         golden = run_golden(target, max_instructions=max_instructions)
@@ -285,13 +257,9 @@ def run_case(
     rng = random.Random(f"faults:{seed}:{target.name}:{schedule_spec}")
 
     counters = FusedAccessCounters()
-    system = build_target(target, counters=counters)
+    system = target.build(counters=counters)
     board = system.board
     pristine = _capture_pristine_metadata(board) if recovery == "meta" else None
-    if timeline is True:
-        timeline = Timeline(counters)
-    if timeline is not None:
-        observe(board, timeline)
     if metrics is not None:
         observe(board, EventMetrics(metrics))
 

@@ -317,14 +317,6 @@ class Bus:
             self.data_cache.power_reset()
         return self
 
-    # -- unaccounted host access (loader / inspection) ----------------------------
-
-    def peek_word(self, address):
-        return self.memory.read_word(address)
-
-    def peek_byte(self, address):
-        return self.memory.read_byte(address)
-
     @property
     def output_text(self):
         return "".join(self.output_chars)

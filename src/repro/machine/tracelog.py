@@ -65,6 +65,10 @@ class TraceLog:
         unobserve(self.bus.board, self)
         return self
 
+    def finish(self, result=None):
+        """Stop logging: the session protocol of :func:`repro.systems.run`."""
+        return self.detach()
+
     def __enter__(self):
         return self.attach()
 

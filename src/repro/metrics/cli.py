@@ -30,7 +30,7 @@ from repro.metrics.snapshot import (
     validate_snapshot,
     write_snapshot,
 )
-from repro.toolchain import PLANS
+from repro.flags import add_run_flags, use_build_cache
 
 
 def _parser():
@@ -61,18 +61,7 @@ def _parser():
         "swapram-replay measures the trace-replay engine and asserts it "
         "bit-identical to execution)",
     )
-    snapshot.add_argument(
-        "--plan",
-        choices=sorted(PLANS),
-        default="unified",
-        help="memory placement plan (default: unified)",
-    )
-    snapshot.add_argument(
-        "--mhz", type=float, default=24, help="CPU clock in MHz (default: 24)"
-    )
-    snapshot.add_argument(
-        "--scale", type=int, default=1, help="benchmark input scale (default: 1)"
-    )
+    add_run_flags(snapshot, plan="unified", mhz=24, scale=1)
     snapshot.add_argument(
         "--out",
         default=None,
@@ -155,10 +144,7 @@ def main(argv=None, out=sys.stdout):
     args = parser.parse_args(argv)
 
     if args.command == "snapshot":
-        if args.build_cache is not None:
-            from repro.toolchain import BUILD_CACHE
-
-            BUILD_CACHE.attach_disk(args.build_cache)
+        use_build_cache(args)
         progress = None
         if not args.quiet:
             progress = lambda label: print(f"measuring {label} ...", file=out)

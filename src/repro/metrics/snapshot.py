@@ -21,7 +21,7 @@ from repro import systems
 from repro.bench import QUICK_NAMES, get_benchmark
 from repro.metrics.instrument import MetricsSession
 from repro.metrics.registry import MetricsRegistry, PhaseTimer
-from repro.toolchain import FitError, PLANS, compile_program
+from repro.toolchain import FitError
 
 SCHEMA = "repro-bench-snapshot/1"
 
@@ -80,7 +80,8 @@ def snapshot_run(
     Phases are timed separately so compile-time and run-time host
     regressions are distinguishable: ``compile`` is mini-C -> assembly,
     ``build`` is instrument + assemble + link + load (the assembler runs
-    inside the linker), ``run`` is the simulation itself.
+    inside the linker), ``run`` is the simulation itself. A wrong output
+    or a violated exact-sum invariant raises ``AssertionError``.
     """
     if system == REPLAY_SYSTEM:
         row, _ = _snapshot_replay_run(
@@ -91,40 +92,27 @@ def snapshot_run(
             max_instructions=max_instructions,
         )
         return row
-    program = get_benchmark(benchmark, scale=scale)
-    timer = PhaseTimer()
+    spec = systems.RunSpec.of(
+        benchmark,
+        scale=scale,
+        system=system,
+        plan=plan_name,
+        mhz=frequency_mhz,
+        max_instructions=max_instructions,
+    )
+    outcome = systems.run(spec, (MetricsSession.attach,))
+    timer = outcome.timer
     row = {
         "benchmark": benchmark,
         "system": system,
         "plan": plan_name,
-        "dnf": False,
+        "dnf": bool(outcome.dnf),
     }
-    try:
-        with timer.phase("compile"):
-            compiled = compile_program(program.source)
-        with timer.phase("build"):
-            built = systems.build(
-                system, compiled, PLANS[plan_name], frequency_mhz=frequency_mhz
-            )
-    except FitError as error:
-        row["dnf"] = True
-        row["dnf_reason"] = str(error)
+    if outcome.dnf:
+        row["dnf_reason"] = str(outcome.error)
         row["host"] = {"phases": timer.as_dict()}
         return row
-
-    # Attaching opens the "run" phase on the shared timer, so the span
-    # covers the simulation only -- build time never pollutes
-    # instructions/sec.
-    session = MetricsSession.attach(built, timer=timer)
-    result = built.run(max_instructions=max_instructions)
-    session.finish(result)
-
-    if result.debug_words != program.expected:
-        raise AssertionError(
-            f"{benchmark}/{system}: wrong output "
-            f"{result.debug_words[:8]} != {program.expected[:8]}"
-        )
-
+    result = outcome.checked().result
     run_s = timer.seconds("run")
     row["guest"] = {key: result.as_dict()[key] for key in _GUEST_KEYS}
     row["host"] = {
@@ -133,15 +121,9 @@ def snapshot_run(
         "instructions_per_s": result.instructions / run_s if run_s else 0.0,
         "phases": timer.as_dict(),
     }
-    problems = systems.spec(system).problems(built)
-    if problems:
-        raise AssertionError(
-            f"{benchmark}/{system}: exact-sum invariants violated: "
-            f"{'; '.join(problems)}"
-        )
-    if built.stats is not None:
-        row["stats"] = built.stats.as_dict()
-    row["metrics"] = session.registry.as_dict()
+    if outcome.system.stats is not None:
+        row["stats"] = outcome.system.stats.as_dict()
+    row["metrics"] = outcome.sessions[0].registry.as_dict()
     return row
 
 

@@ -20,12 +20,12 @@ on anything but swapram, say) exits 2.
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from repro import systems
-from repro.bench.suite import BENCHMARK_NAMES, get_benchmark
-from repro.core import ThrashGuard
-from repro.core.policy import POLICIES
+from repro.bench.suite import BENCHMARK_NAMES
+from repro.flags import add_run_flags, run_spec
 from repro.machine.tracelog import TraceLog
 from repro.obs.report import (
     call_tree_text,
@@ -34,7 +34,6 @@ from repro.obs.report import (
     write_session_artifacts,
 )
 from repro.obs.session import TraceSession
-from repro.toolchain import FitError, PLANS
 
 
 def _parser():
@@ -48,37 +47,16 @@ def _parser():
         help=f"benchmark name ({', '.join(BENCHMARK_NAMES)}) "
         "or a mini-C source file",
     )
-    parser.add_argument(
-        "--system",
-        choices=systems.NAMES,
-        default="swapram",
-        help="execution system (default: swapram)",
-    )
-    parser.add_argument(
-        "--plan",
-        choices=sorted(PLANS),
-        default="unified",
-        help="memory placement plan (default: unified)",
-    )
-    parser.add_argument(
-        "--policy",
-        choices=sorted(POLICIES),
-        default=None,
-        help="SwapRAM replacement policy (swapram default: queue)",
-    )
-    parser.add_argument(
-        "--cache-limit", type=int, default=None, help="cap the SRAM cache (bytes)"
-    )
-    parser.add_argument(
-        "--thrash-guard",
-        action="store_true",
-        help="enable the freeze-on-thrash extension (swapram only)",
-    )
-    parser.add_argument(
-        "--mhz", type=float, default=24, help="CPU clock in MHz (default: 24)"
-    )
-    parser.add_argument(
-        "--scale", type=int, default=1, help="benchmark input scale (default: 1)"
+    add_run_flags(
+        parser,
+        system="swapram",
+        plan="unified",
+        policy=None,
+        cache_limit=None,
+        thrash_guard=False,
+        mhz=24,
+        scale=1,
+        max_instructions=50_000_000,
     )
     parser.add_argument(
         "--out",
@@ -105,28 +83,7 @@ def _parser():
         default=None,
         help="cap recorded timeline events (excess is counted, not kept)",
     )
-    parser.add_argument(
-        "--max-instructions",
-        type=int,
-        default=50_000_000,
-        help="runaway guard (default: 5e7)",
-    )
     return parser
-
-
-def _resolve_source(args, parser):
-    """The positional is a registry name or a mini-C file path."""
-    name = args.benchmark
-    if name in BENCHMARK_NAMES:
-        bench = get_benchmark(name, scale=args.scale)
-        return bench.name, bench.source, bench.expected
-    path = Path(name)
-    if path.exists():
-        return path.stem, path.read_text(), None
-    parser.error(
-        f"{name!r} is neither a benchmark ({', '.join(BENCHMARK_NAMES)}) "
-        "nor an existing file"
-    )
 
 
 def main(argv=None, out=sys.stdout):
@@ -139,37 +96,18 @@ def main(argv=None, out=sys.stdout):
         return export_main(arguments[1:], out=out)
     parser = _parser()
     args = parser.parse_args(arguments)
-    try:
-        options = systems.checked_options(
-            args.system,
-            policy=args.policy,
-            cache_limit=args.cache_limit,
-            thrash_guard=ThrashGuard() if args.thrash_guard else None,
-        )
-    except ValueError as error:
-        parser.error(str(error))
-    label, source, expected = _resolve_source(args, parser)
+    spec = run_spec(parser, args, program=args.benchmark)
 
-    try:
-        target = systems.build(
-            args.system, source, PLANS[args.plan], args.mhz, **options
-        )
-    except FitError as error:
-        print(f"DNF: {error}", file=out)
-        return 2
-    board = target.board
-
-    session = TraceSession.attach(target, events_limit=args.events_limit)
-    accesses = None
+    attach = [partial(TraceSession.attach, events_limit=args.events_limit)]
     if args.accesses is not None:
-        accesses = TraceLog(board.bus, capacity=max(args.accesses, 1)).attach()
-    try:
-        result = target.run(max_instructions=args.max_instructions)
-    finally:
-        if accesses is not None:
-            accesses.detach()
-        session.finish()
-    session.result = result
+        capacity = max(args.accesses, 1)
+        attach.append(lambda system: TraceLog(system.board.bus, capacity).attach())
+    outcome = systems.run(spec, attach)
+    if outcome.dnf:
+        print(f"DNF: {outcome.error}", file=out)
+        return 2
+    session = outcome.sessions[0]
+    accesses = outcome.sessions[1] if args.accesses is not None else None
 
     print(profile_table(session, top=args.top), file=out)
     tree = call_tree_text(session)
@@ -187,14 +125,14 @@ def main(argv=None, out=sys.stdout):
         print(accesses.dump(limit=args.accesses), file=out)
 
     out_path = args.out or (
-        Path("results/traces") / f"{label}-{args.system}.trace.json"
+        Path("results/traces") / f"{spec.label}-{args.system}.trace.json"
     )
     trace_path, report_path = write_session_artifacts(
         session,
         out_path,
-        label=label,
+        label=spec.label,
         extra_metadata={
-            "benchmark": label,
+            "benchmark": spec.label,
             "system": args.system,
             "plan": args.plan,
         },
@@ -203,13 +141,9 @@ def main(argv=None, out=sys.stdout):
     print(f"trace  : {trace_path}", file=out)
     print(f"report : {report_path}", file=out)
 
-    if expected is not None and result.debug_words != expected:
-        print(
-            f"output MISMATCH: {result.debug_words[:8]} != {expected[:8]}",
-            file=out,
-        )
-        return 1
-    return 0
+    for problem in outcome.problems:
+        print(f"MISMATCH: {problem}", file=out)
+    return 1 if outcome.problems else 0
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ bit-identical totals at a fraction of the wall clock. See
 ``docs/replay.md`` for the format and the validity rules.
 """
 
-from repro.replay.capture import CaptureError, capture_run, capture_source
+from repro.replay.capture import CaptureError, capture, capture_source
 from repro.replay.engine import (
     AS_CAPTURED,
     ReplayEngine,
@@ -36,7 +36,7 @@ __all__ = [
     "TraceError",
     "TraceSchemaError",
     "TraceTruncatedError",
-    "capture_run",
+    "capture",
     "capture_source",
     "image_sha256",
 ]

@@ -34,7 +34,6 @@ from repro.core.runtime import SwapRamRuntime
 from repro.blockcache.runtime import BlockCacheRuntime
 from repro.datacache.runtime import DataCacheRuntime
 from repro.isa.registers import PC
-from repro.machine.cpu import RunawayError
 from repro.machine.memory import RegionKind
 from repro.machine.observe import observe, unobserve
 from repro.machine.trace import FETCH, Attribution, access_slot
@@ -204,6 +203,9 @@ class _Recorder:
         self.records.append((func, offset, words, cycles, tuple(acc)))
         self._cur_acc = None
 
+    def finish(self, result):
+        unobserve(self.board, self)
+
     def on_hook(self, address, cpu):
         if address != self._hook_addr:
             return
@@ -218,67 +220,67 @@ class _Recorder:
             self._push(func_id, cpu.regs[PC])
 
 
-def capture_run(
-    target,
-    source,
-    benchmark=None,
-    scale=1,
-    capture_config=None,
-    max_instructions=50_000_000,
-):
-    """Run *target* (a built system or baseline board) under capture.
+def capture(spec, benchmark=None):
+    """Run a :class:`~repro.systems.RunSpec` once under capture.
 
-    Returns ``(TraceDocument, RunResult)``. *source* is the mini-C text
-    the system was built from -- embedded in the header so a replay
-    engine can rebuild the system without any out-of-band state.
+    Returns ``(TraceDocument, System, RunResult)``. The header embeds
+    the spec's source, so a replay engine can rebuild the system
+    without any out-of-band state; *benchmark* names the program in it.
+    Raises ``FitError`` when the binary does not fit and
+    :class:`CaptureError` when the run does not halt.
     """
+    from repro.systems import run
     from repro.tracing.runtime import current_recorder
     from repro.tracing.span import NULL_SPAN
 
-    kind, board, runtime = classify(target)
-    recorder = observe(board, _Recorder(kind, board, runtime))
-    tracing = current_recorder()
-    try:
-        # Raw (det=False): captures are memoised per process, so whether
-        # one happens depends on which units a worker served before.
-        with (
-            tracing.span(
-                "replay.capture",
-                det=False,
-                attrs={"benchmark": benchmark, "system": kind},
-            )
-            if tracing
-            else NULL_SPAN
-        ):
-            try:
-                result = target.run(max_instructions=max_instructions)
-            except RunawayError as error:
-                raise CaptureError(f"run did not halt: {error}") from error
-    finally:
-        unobserve(board, recorder)
+    def record(system):
+        kind, board, runtime = classify(system)
+        return observe(board, _Recorder(kind, board, runtime))
 
-    config = dict(capture_config or {})
+    tracing = current_recorder()
+    # Raw (det=False): captures are memoised per process, so whether
+    # one happens depends on which units a worker served before.
+    with (
+        tracing.span(
+            "replay.capture",
+            det=False,
+            attrs={"benchmark": benchmark, "system": spec.entry.capture_kind},
+        )
+        if tracing
+        else NULL_SPAN
+    ):
+        outcome = run(spec, (record,))
+    if outcome.dnf == "fit":
+        raise outcome.error
+    if outcome.dnf:
+        raise CaptureError(f"run did not halt: {outcome.error}") from outcome.error
+    recorder = outcome.sessions[0]
+    board, runtime, kind = recorder.board, outcome.system.runtime, recorder.kind
+
+    config = {}
+    if "cache_limit" in spec.entry.options:
+        config["cache_limit"] = spec.cache_limit
     if kind == SWAPRAM:
         policy = runtime.policy
-        config.setdefault("policy", policy.name)
-        config.setdefault("cache_base", policy.base)
-        config.setdefault("cache_size", policy.size)
+        config["policy"] = policy.name
+        config["cache_base"] = policy.base
+        config["cache_size"] = policy.size
     elif kind == BLOCK:
-        config.setdefault("cache_base", runtime.cache_base)
-        config.setdefault("cache_size", runtime.num_slots * runtime.slot_bytes)
-        config.setdefault("slot_bytes", runtime.slot_bytes)
-        config.setdefault("num_slots", runtime.num_slots)
+        config["cache_base"] = runtime.cache_base
+        config["cache_size"] = runtime.num_slots * runtime.slot_bytes
+        config["slot_bytes"] = runtime.slot_bytes
+        config["num_slots"] = runtime.num_slots
     elif kind == DATACACHE:
-        for name, value in runtime.config.as_dict().items():
-            config.setdefault(name, value)
+        config.update(runtime.config.as_dict())
 
+    result = outcome.result
     header = {
         "system": kind,
         "plan": board.linked.plan.name,
         "plan_config": asdict(board.linked.plan),
-        "scale": scale,
+        "scale": spec.scale,
         "benchmark": benchmark,
-        "source": source,
+        "source": spec.source,
         "frequency_mhz": board.frequency_mhz,
         "image_sha256": image_sha256(board.image),
         "capture_config": config,
@@ -288,7 +290,7 @@ def capture_run(
         ),
         "app_writes_cache_window": recorder.cache_window_writes > 0,
     }
-    return build_document(header, recorder.records), result
+    return build_document(header, recorder.records), outcome.system, result
 
 
 def capture_source(
@@ -298,39 +300,33 @@ def capture_source(
     frequency_mhz=24,
     scale=1,
     benchmark=None,
-    policy="queue",
+    policy=None,
     cache_limit=None,
-    slot_bytes=48,
+    slot_bytes=None,
     datacache=None,
     max_instructions=50_000_000,
 ):
     """Build a system for *source* and capture one run of it.
 
-    *system* is any :mod:`repro.systems` name; the knobs it does not
-    take are ignored. Returns ``(TraceDocument, system, RunResult)`` so
-    callers can also inspect the executed system's statistics directly.
-    *datacache* is a :class:`~repro.datacache.cache.DataCacheConfig`
-    overriding a data-cache system's own (``None`` keeps it).
+    *system* is any :mod:`repro.systems` name; a knob it does not take
+    raises ``ValueError``, and ``None`` keeps the builder's default.
+    Returns ``(TraceDocument, system, RunResult)`` so callers can also
+    inspect the executed system's statistics directly. *datacache* is
+    a :class:`~repro.datacache.cache.DataCacheConfig` overriding a
+    data-cache system's own (``None`` keeps it).
     """
-    from repro import systems
-    from repro.toolchain import PLANS
+    from repro.systems import RunSpec
 
-    spec = systems.spec(system)
-    knobs = {"policy": policy, "cache_limit": cache_limit, "slot_bytes": slot_bytes}
-    knobs = {name: value for name, value in knobs.items() if name in spec.options}
-    target = systems.build(
-        system, source, PLANS[plan_name], frequency_mhz, config=datacache, **knobs
-    )
-    capture_config = {}
-    if "cache_limit" in spec.options:
-        capture_config["cache_limit"] = cache_limit
-
-    document, result = capture_run(
-        target,
+    spec = RunSpec(
         source,
-        benchmark=benchmark,
+        system,
+        policy=policy,
+        cache_limit=cache_limit,
+        slot_bytes=slot_bytes,
+        datacache=datacache,
+        plan=plan_name,
+        mhz=frequency_mhz,
         scale=scale,
-        capture_config=capture_config,
         max_instructions=max_instructions,
     )
-    return document, target, result
+    return capture(spec, benchmark)

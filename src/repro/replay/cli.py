@@ -27,12 +27,11 @@ import sys
 import time
 from dataclasses import asdict
 
-from repro import systems
-from repro.bench import BENCHMARK_NAMES, get_benchmark
+from repro.bench import BENCHMARK_NAMES
 from repro.core.policy import POLICIES
-from repro.toolchain import PLANS
+from repro.flags import add_campaign_flags, add_run_flags, run_spec
 
-from repro.replay.capture import CaptureError, capture_source
+from repro.replay.capture import CaptureError, capture
 from repro.replay.engine import AS_CAPTURED, ReplayEngine, ReplayError
 from repro.replay.reference import diff_outcome, execute_reference
 from repro.replay.schema import TraceError
@@ -63,41 +62,15 @@ def _parser():
         "program",
         help="benchmark name (crc, rc4, ...) or a mini-C source file",
     )
-    capture.add_argument(
-        "--system",
-        choices=systems.NAMES,
-        default="swapram",
-        help="system to capture (default: swapram)",
-    )
-    capture.add_argument(
-        "--plan",
-        choices=sorted(PLANS),
-        default="unified",
-        help="memory placement plan (default: unified)",
-    )
-    capture.add_argument(
-        "--mhz", type=float, default=24, help="CPU clock in MHz (default: 24)"
-    )
-    capture.add_argument(
-        "--scale", type=int, default=1, help="benchmark input scale (default: 1)"
-    )
-    capture.add_argument(
-        "--policy",
-        choices=sorted(POLICIES),
-        default="queue",
-        help="swapram eviction policy during capture (default: queue)",
-    )
-    capture.add_argument(
-        "--cache-limit",
-        type=int,
-        default=None,
-        help="cap the SRAM cache during capture (bytes)",
-    )
-    capture.add_argument(
-        "--slot-bytes",
-        type=int,
-        default=48,
-        help="block-cache slot size (default: 48)",
+    add_run_flags(
+        capture,
+        system="swapram",
+        plan="unified",
+        mhz=24,
+        scale=1,
+        policy=None,
+        cache_limit=None,
+        slot_bytes=None,
     )
     _common(capture)
 
@@ -138,18 +111,7 @@ def _parser():
         "program",
         help="benchmark name (crc, rc4, ...) or a mini-C source file",
     )
-    sweep.add_argument(
-        "--plan",
-        choices=sorted(PLANS),
-        default="unified",
-        help="memory placement plan (default: unified)",
-    )
-    sweep.add_argument(
-        "--mhz", type=float, default=24, help="CPU clock in MHz (default: 24)"
-    )
-    sweep.add_argument(
-        "--scale", type=int, default=1, help="benchmark input scale (default: 1)"
-    )
+    add_run_flags(sweep, plan="unified", mhz=24, scale=1)
     sweep.add_argument(
         "--policies",
         nargs="+",
@@ -172,18 +134,11 @@ def _parser():
         help="fully execute every cell too: require bit-identical totals "
         "and report the measured speedup",
     )
-    sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="shard the grid cells across N worker processes via the "
+    add_campaign_flags(
+        sweep,
+        jobs_help="shard the grid cells across N worker processes via the "
         "sweep engine (benchmark programs only)",
-    )
-    sweep.add_argument(
-        "--trace",
-        action="store_true",
-        help="record orchestration-plane spans for the --jobs campaign "
-        "(see docs/tracing.md)",
+        build_cache=False,
     )
     _common(sweep)
 
@@ -197,15 +152,6 @@ def _parser():
     return parser
 
 
-def _load_program(name_or_path, scale):
-    """(label, source) for a benchmark name or a mini-C file path."""
-    if name_or_path in BENCHMARK_NAMES:
-        bench = get_benchmark(name_or_path, scale)
-        return name_or_path, bench.source
-    with open(name_or_path) as handle:
-        return name_or_path, handle.read()
-
-
 def _parse_limit(text, parser):
     if text.lower() in ("none", "-"):
         return None
@@ -215,23 +161,13 @@ def _parse_limit(text, parser):
         parser.error(f"--cache-limits expects integers or 'none', got {text!r}")
 
 
-def _capture_into_store(store, args, label, source, benchmark, out):
+def _capture_into_store(store, spec, benchmark, out):
     started = time.perf_counter()
-    document, _, _ = capture_source(
-        source,
-        system=args.system,
-        plan_name=args.plan,
-        frequency_mhz=args.mhz,
-        scale=args.scale,
-        benchmark=benchmark,
-        policy=args.policy,
-        cache_limit=args.cache_limit,
-        slot_bytes=args.slot_bytes,
-    )
+    document, _, _ = capture(spec, benchmark)
     seconds = time.perf_counter() - started
     path = store.save(document)
     print(
-        f"captured {label}: {document.events} events, "
+        f"captured {spec.label}: {document.events} events, "
         f"{document.instructions} instructions in {seconds:.2f}s",
         file=out,
     )
@@ -364,16 +300,10 @@ def main(argv=None, out=sys.stdout):
         return 0
 
     if args.command == "capture":
+        spec = run_spec(parser, args, program=args.program)
         benchmark = args.program if args.program in BENCHMARK_NAMES else None
         try:
-            label, source = _load_program(args.program, args.scale)
-        except OSError as error:
-            print(f"error: {error}", file=out)
-            return 2
-        try:
-            return _capture_into_store(
-                TraceStore(args.store), args, label, source, benchmark, out
-            )
+            return _capture_into_store(TraceStore(args.store), spec, benchmark, out)
         except CaptureError as error:
             print(f"capture failed: {error}", file=out)
             return 2
@@ -398,17 +328,19 @@ def main(argv=None, out=sys.stdout):
             return 2
         _print_outcome(outcome, out, stats=args.stats)
         if args.compare_execute:
+            from repro.datacache.cache import DataCacheConfig
+
             header = engine.header
+            datacache = outcome.config["datacache"]
             target, result = execute_reference(
                 header["source"],
                 system=header["system"],
                 plan_name=header["plan"],
                 frequency_mhz=outcome.config["frequency_mhz"],
-                policy=outcome.config.get("policy") or "queue",
+                policy=outcome.config.get("policy"),
                 cache_limit=outcome.config.get("cache_limit"),
-                slot_bytes=(header.get("capture_config") or {}).get(
-                    "slot_bytes", 48
-                ),
+                slot_bytes=(header.get("capture_config") or {}).get("slot_bytes"),
+                datacache=datacache and DataCacheConfig.from_dict(datacache),
             )
             problems = diff_outcome(target, result, outcome)
             if problems:
@@ -419,35 +351,24 @@ def main(argv=None, out=sys.stdout):
         return 0
 
     # sweep
+    spec = run_spec(parser, args, program=args.program, system="swapram")
     benchmark = args.program if args.program in BENCHMARK_NAMES else None
-    try:
-        label, source = _load_program(args.program, args.scale)
-    except OSError as error:
-        print(f"error: {error}", file=out)
-        return 2
     limits = [_parse_limit(text, parser) for text in args.cache_limits]
     store = TraceStore(args.store)
-    plan_config = asdict(PLANS[args.plan])
-    document = store.load("swapram", plan_config, args.scale, source)
+    plan_config = asdict(spec.memory_plan)
+    document = store.load("swapram", plan_config, args.scale, spec.source)
     capture_s = None
     if document is None:
         started = time.perf_counter()
         try:
-            document, _, _ = capture_source(
-                source,
-                system="swapram",
-                plan_name=args.plan,
-                frequency_mhz=args.mhz,
-                scale=args.scale,
-                benchmark=benchmark,
-            )
+            document, _, _ = capture(spec, benchmark)
         except CaptureError as error:
             print(f"capture failed: {error}", file=out)
             return 2
         capture_s = time.perf_counter() - started
         path = store.save(document)
         print(
-            f"captured {label}: {document.events} events in {capture_s:.2f}s "
+            f"captured {spec.label}: {document.events} events in {capture_s:.2f}s "
             f"-> {path}",
             file=out,
         )
@@ -481,7 +402,7 @@ def main(argv=None, out=sys.stdout):
         execute_started = time.perf_counter()
         for policy, limit, outcome in rows:
             target, result = execute_reference(
-                source,
+                spec.source,
                 system="swapram",
                 plan_name=args.plan,
                 frequency_mhz=args.mhz,

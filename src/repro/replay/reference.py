@@ -9,8 +9,7 @@ by the CLI's ``--compare-execute``, the perf-snapshot job and the
 equivalence test suite.
 """
 
-from repro import systems
-from repro.toolchain import PLANS
+from repro.systems import RunSpec, run
 
 from repro.replay.capture import SWAPRAM
 
@@ -20,22 +19,34 @@ def execute_reference(
     system=SWAPRAM,
     plan_name="unified",
     frequency_mhz=24,
-    policy="queue",
+    policy=None,
     cache_limit=None,
-    slot_bytes=48,
+    slot_bytes=None,
+    datacache=None,
     max_instructions=50_000_000,
 ):
     """Build and fully execute one configuration; returns (target, result).
 
-    *system* is any :mod:`repro.systems` name; the knobs it does not
-    take are ignored.
+    *system* is any :mod:`repro.systems` name; a knob it does not take
+    raises ``ValueError``, and ``None`` keeps the builder's default.
+    *datacache* overrides a data-cache system's configuration. A DNF
+    raises its ``FitError`` or ``RunawayError``.
     """
-    options = systems.spec(system).options
-    knobs = {"policy": policy, "cache_limit": cache_limit, "slot_bytes": slot_bytes}
-    knobs = {name: value for name, value in knobs.items() if name in options}
-    target = systems.build(system, source, PLANS[plan_name], frequency_mhz, **knobs)
-    result = target.run(max_instructions=max_instructions)
-    return target, result
+    spec = RunSpec(
+        source,
+        system,
+        policy=policy,
+        cache_limit=cache_limit,
+        slot_bytes=slot_bytes,
+        datacache=datacache,
+        plan=plan_name,
+        mhz=frequency_mhz,
+        max_instructions=max_instructions,
+    )
+    outcome = run(spec)
+    if outcome.dnf:
+        raise outcome.error
+    return outcome.system, outcome.result
 
 
 def _board_of(target):

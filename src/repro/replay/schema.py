@@ -77,7 +77,7 @@ class TraceTruncatedError(TraceError):
 
 
 class Access(NamedTuple):
-    """One decoded data access, with the flag bits unpacked as properties."""
+    """One decoded data access; ``is_write`` unpacks the write flag."""
 
     flags: int
     address: int
@@ -86,14 +86,6 @@ class Access(NamedTuple):
     @property
     def is_write(self):
         return bool(self.flags & ACC_WRITE)
-
-    @property
-    def is_byte(self):
-        return bool(self.flags & ACC_BYTE)
-
-    @property
-    def has_value(self):
-        return bool(self.flags & ACC_VALUE)
 
 
 class Instruction(NamedTuple):

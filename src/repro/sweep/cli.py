@@ -32,6 +32,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.flags import add_run_flags
 from repro.sweep.campaigns import PRESETS
 from repro.sweep.config import CampaignConfig, ConfigError
 from repro.sweep.engine import run_campaign
@@ -111,7 +112,7 @@ def _parser():
         "--difftest-seeds", nargs="+", type=int, default=None, metavar="SEED"
     )
     run.add_argument("--recovery", choices=("none", "meta"), default=None)
-    run.add_argument("--scale", type=int, default=None)
+    add_run_flags(run, scale=None)
     run.add_argument("--policies", nargs="+", default=None, metavar="POLICY")
     run.add_argument(
         "--cache-limits",

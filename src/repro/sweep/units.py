@@ -301,8 +301,7 @@ def _execute_replay(spec):
 
 
 def _baseline_result(benchmark, frequency_mhz):
-    from repro.bench import get_benchmark
-    from repro.toolchain import PLANS, build_baseline
+    from repro.systems import RunSpec, run
 
     key = (benchmark, frequency_mhz)
     if key not in _BASELINE_RESULTS:
@@ -313,17 +312,14 @@ def _baseline_result(benchmark, frequency_mhz):
                 "cache_size.baseline", det=False, attrs={"benchmark": benchmark}
             )
         with span:
-            bench = get_benchmark(benchmark)
-            board = build_baseline(bench.source, PLANS["unified"], frequency_mhz)
-            _BASELINE_RESULTS[key] = board.run()
+            spec = RunSpec.of(benchmark, mhz=frequency_mhz)
+            _BASELINE_RESULTS[key] = run(spec).checked().result
     return _BASELINE_RESULTS[key]
 
 
 def _execute_cache_size(spec):
-    from repro.bench import get_benchmark
-    from repro.core import build_swapram
     from repro.experiments.ablation import _sweep_row
-    from repro.toolchain import PLANS
+    from repro.systems import RunSpec, run
 
     benchmark = spec["benchmark"]
     frequency_mhz = spec.get("frequency_mhz", 24)
@@ -335,21 +331,21 @@ def _execute_cache_size(spec):
         span = recorder.span("cache_size.run", attrs={"cache_bytes": cache_bytes})
     with span:
         if spec.get("engine", "execute") == "replay":
+            from repro.bench import get_benchmark
+
             engine = _replay_engine(spec)
             outcome = engine.replay(
                 cache_limit=cache_bytes, frequency_mhz=frequency_mhz
             )
+            if outcome.result.debug_words != get_benchmark(benchmark).expected:
+                raise UnitError(f"{benchmark}@{cache_bytes}: wrong debug output")
             result, stats = outcome.result, outcome.stats
         else:
-            bench = get_benchmark(benchmark)
-            system = build_swapram(
-                bench.source, PLANS["unified"], frequency_mhz, cache_limit=cache_bytes
+            point = RunSpec.of(
+                benchmark, system="swapram", cache_limit=cache_bytes, mhz=frequency_mhz
             )
-            result = system.run()
-            stats = system.stats
-    expected = get_benchmark(benchmark).expected
-    if result.debug_words != expected:
-        raise UnitError(f"{benchmark}@{cache_bytes}: wrong debug output")
+            executed = run(point).checked()
+            result, stats = executed.result, executed.system.stats
     return _sweep_row(cache_bytes, baseline, result, stats)
 
 
@@ -357,10 +353,8 @@ def _execute_cache_size(spec):
 
 
 def _execute_datacache(spec):
-    from repro.bench import get_benchmark
     from repro.datacache.cache import DataCacheConfig
-    from repro.datacache.system import build_datacache
-    from repro.toolchain import PLANS
+    from repro.systems import RunSpec, run
 
     benchmark = spec["benchmark"]
     mode = spec.get("mode", "back")
@@ -379,7 +373,15 @@ def _execute_datacache(spec):
         payload["skipped"] = "cleaning is a write-back knob"
         return payload
     config = DataCacheConfig(mode=mode, cleaning=cleaning).with_geometry(geometry)
-    bench = get_benchmark(benchmark, scale=spec.get("scale", 1))
+    point = RunSpec.of(
+        benchmark,
+        scale=spec.get("scale", 1),
+        label=f"{benchmark}/{mode}/{cleaning}/{geometry}",
+        system="datacache",
+        datacache=config,
+        plan=spec.get("plan", "unified"),
+        mhz=spec.get("frequency_mhz", 24),
+    )
     recorder = current_recorder()
     span = NULL_SPAN
     if recorder is not None:
@@ -388,27 +390,11 @@ def _execute_datacache(spec):
             attrs={"benchmark": benchmark, "mode": mode, "cleaning": cleaning},
         )
     with span:
-        system = build_datacache(
-            bench.source,
-            PLANS[spec.get("plan", "unified")],
-            config=config,
-            frequency_mhz=spec.get("frequency_mhz", 24),
-        )
-        result = system.run()
-    if result.debug_words != bench.expected:
-        raise UnitError(
-            f"{benchmark}/{mode}/{cleaning}/{geometry}: wrong debug output "
-            f"{result.debug_words[:4]} != {bench.expected[:4]}"
-        )
-    problems = system.stats.invariant_problems(system.runtime.model.line_words)
-    if problems:
-        raise UnitError(
-            f"{benchmark}/{mode}/{cleaning}/{geometry}: exact-sum "
-            f"invariants violated: {'; '.join(problems)}"
-        )
+        outcome = run(point)
+    outcome.checked()
     payload["correct"] = True
-    payload["result"] = result.as_dict()
-    payload["stats"] = system.stats.as_dict()
+    payload["result"] = outcome.result.as_dict()
+    payload["stats"] = outcome.system.stats.as_dict()
     payload["config"] = config.as_dict()
     return payload
 

@@ -86,11 +86,6 @@ class LinkedProgram:
     #: (symbol start + summed instruction lengths).
     program: object = field(default=None, repr=False)
 
-    @property
-    def nvm_code_bytes(self):
-        """Bytes of code placed in FRAM (Figure 7's application bar)."""
-        return self.section_sizes["text"] if self.plan.text == "fram" else 0
-
 
 def measure_sections(program):
     """Section sizes in bytes without assembling (deterministic lengths)."""

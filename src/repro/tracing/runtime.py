@@ -3,7 +3,7 @@
 The orchestration plane is instrumented at module seams that cannot
 thread a recorder argument without contaminating every signature
 (``pool._run_one``, ``toolchain.cache.BuildCache.get``,
-``replay.capture_run``). Instead there is exactly one process-global
+``replay.capture``). Instead there is exactly one process-global
 slot, ``None`` unless a campaign opted in, and every producer guards
 with::
 

@@ -5,13 +5,13 @@ import json
 import pytest
 
 from repro.faults.harness import (
-    FaultTarget,
     FaultSweep,
     run_case,
     run_golden,
     summarize,
 )
 from repro.metrics.registry import MetricsRegistry
+from repro.systems import RunSpec
 
 #: Two cacheable helpers (main is blacklisted from the SwapRAM cache),
 #: an idempotent FRAM data pattern, and one debug word to compare.
@@ -49,7 +49,7 @@ int main(void) {
 
 
 def target(system, source=PROGRAM, label="tiny"):
-    return FaultTarget(label=label, source=source, system=system)
+    return RunSpec(source, system, label=label)
 
 
 @pytest.fixture(scope="module")

@@ -46,7 +46,7 @@ def assert_cell_identical(
     benchmark,
     system="swapram",
     plan_name="unified",
-    policy="queue",
+    policy=None,
     cache_limit=None,
     frequency_mhz=24,
     capture_kwargs=None,

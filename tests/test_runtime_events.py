@@ -15,12 +15,12 @@ import pytest
 
 from repro import systems
 from repro.datacache.cache import DataCacheConfig
-from repro.faults import harness
-from repro.faults.harness import FaultTarget, run_case, run_golden
+from repro.faults.harness import run_case, run_golden
 from repro.machine.observe import observe, unobserve
 from repro.metrics import MetricsRegistry, MetricsSession
 from repro.obs import Timeline, TraceSession
 from repro.obs.timeline import CALL_KINDS
+from repro.systems import RunSpec
 from repro.toolchain import PLANS
 
 #: ``middle`` calls ``leaf``: in a 0x180-byte cache the two cannot both
@@ -153,9 +153,9 @@ def test_every_subscriber_gets_every_runtime_event_in_any_order(name):
 # -- emission points under power failures --------------------------------------------
 
 TARGETS = {
-    "swapram": FaultTarget(label="thrash", source=THRASH, system="swapram"),
-    "blockcache": FaultTarget(label="thrash", source=THRASH, system="blockcache"),
-    "datacache-wb": FaultTarget(
+    "swapram": RunSpec(label="thrash", source=THRASH, system="swapram"),
+    "blockcache": RunSpec(label="thrash", source=THRASH, system="blockcache"),
+    "datacache-wb": RunSpec(
         label="writeheavy", source=WRITE_HEAVY, system="datacache-wb"
     ),
 }
@@ -233,13 +233,13 @@ def _fault_schedule(golden, window):
 def _faulted_run(monkeypatch, golden, schedule):
     """Run one fault case; returns its report, its system and its registry."""
     built = []
-    build_target = harness.build_target
+    build = RunSpec.build
 
-    def capture(target, counters=None):
-        built.append(build_target(target, counters=counters))
+    def capture(target, program=None, **board_kwargs):
+        built.append(build(target, program, **board_kwargs))
         return built[-1]
 
-    monkeypatch.setattr(harness, "build_target", capture)
+    monkeypatch.setattr(RunSpec, "build", capture)
     registry = MetricsRegistry()
     report = run_case(golden.target, schedule, 1, golden=golden, metrics=registry)
     return report, built[-1], registry
