@@ -269,17 +269,19 @@ POLICIES = {
 class CleaningPolicy:
     """When to write dirty data-cache lines back, outside of evictions.
 
-    ``tick(cache)`` is consulted once per application access to the
-    cached window and returns the lines to clean *now* (possibly none).
-    *cache* is any object exposing ``ticks`` (monotonic access count)
-    and ``dirty_lines()`` (line objects carrying ``tag``, ``set_index``,
-    ``dirty_since`` and ``last_tick``). Policies never touch memory
-    themselves -- the
+    ``tick(cache)`` is consulted once every ``interval`` application
+    accesses to the cached window -- when ``cache.ticks % interval ==
+    0`` -- and returns the lines to clean *now* (possibly none); an
+    ``interval`` of 0 means never. *cache* is any object exposing
+    ``ticks`` (monotonic access count) and ``dirty_lines()`` (line
+    objects carrying ``tag``, ``set_index``, ``dirty_since`` and
+    ``last_tick``). Policies never touch memory themselves -- the
     runtime performs the writebacks it is told to, so every cleaning
     decision is charged as real bus traffic.
     """
 
     name = "abstract"
+    interval = 0
 
     def reset(self):
         pass
@@ -290,6 +292,13 @@ class CleaningPolicy:
     def describe(self):
         """Deterministic plain-data identity for reports and sweeps."""
         return {"name": self.name}
+
+
+def _at_least(name, value, least):
+    """*value* if it is an int >= *least*; ``ValueError`` otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    return value
 
 
 class NopCleaning(CleaningPolicy):
@@ -320,9 +329,9 @@ class AlruCleaning(CleaningPolicy):
     name = "alru"
 
     def __init__(self, interval=256, batch=1, age=1024):
-        self.interval = interval
-        self.batch = batch
-        self.age = age
+        self.interval = _at_least("interval", interval, 1)
+        self.batch = _at_least("batch", batch, 1)
+        self.age = _at_least("age", age, 0)
 
     def tick(self, cache):
         if cache.ticks % self.interval:
@@ -358,8 +367,8 @@ class AcpCleaning(CleaningPolicy):
     name = "acp"
 
     def __init__(self, interval=256, batch=1):
-        self.interval = interval
-        self.batch = batch
+        self.interval = _at_least("interval", interval, 1)
+        self.batch = _at_least("batch", batch, 1)
 
     def tick(self, cache):
         if cache.ticks % self.interval:
@@ -413,7 +422,7 @@ def make_cleaning(spec):
     try:
         policy_class = lookup_policy("cleaning", name)
     except KeyError as error:
-        raise ValueError(str(error)) from None
+        raise ValueError(error.args[0]) from None
     kwargs = {}
     if params:
         for pair in params.split(","):
@@ -432,5 +441,5 @@ def make_cleaning(spec):
                 ) from None
     try:
         return policy_class(**kwargs)
-    except TypeError as error:
+    except (TypeError, ValueError) as error:
         raise ValueError(f"bad cleaning spec {spec!r}: {error}") from None

@@ -16,7 +16,9 @@ so a power failure with dirty lines outstanding genuinely loses the
 deferred writes -- the hazard :mod:`repro.faults` classifies.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+
+from repro.core.policy import make_cleaning
 
 #: Access outcomes (:meth:`DataCacheModel.decide`).
 HIT = "hit"
@@ -81,6 +83,10 @@ class DataCacheConfig:
             reasons.append("datacache promote_after must be an int >= 1")
         if not isinstance(self.seq_cutoff_lines, int) or self.seq_cutoff_lines < 0:
             reasons.append("datacache seq_cutoff_lines must be an int >= 0")
+        try:
+            make_cleaning(self.cleaning)
+        except ValueError as error:
+            reasons.append(f"datacache cleaning: {error}")
         return reasons
 
     def validated(self):
@@ -204,27 +210,39 @@ class DataCacheStats:
         interrupt a line copy mid-word).
         """
         checks = [
-            ("reads == read_hits + read_misses",
-             self.reads == self.read_hits + self.read_misses),
-            ("writes == write_hits + write_misses",
-             self.writes == self.write_hits + self.write_misses),
-            ("read_misses == read_fills + read_bypasses",
-             self.read_misses == self.read_fills + self.read_bypasses),
-            ("write_misses == write_fills + write_bypasses",
-             self.write_misses == self.write_fills + self.write_bypasses),
-            ("bypasses == seq + promote + no_allocate",
-             self.bypasses
-             == self.seq_bypasses + self.promote_deferrals + self.no_allocates),
+            (
+                "reads == read_hits + read_misses",
+                self.reads == self.read_hits + self.read_misses,
+            ),
+            (
+                "writes == write_hits + write_misses",
+                self.writes == self.write_hits + self.write_misses,
+            ),
+            (
+                "read_misses == read_fills + read_bypasses",
+                self.read_misses == self.read_fills + self.read_bypasses,
+            ),
+            (
+                "write_misses == write_fills + write_bypasses",
+                self.write_misses == self.write_fills + self.write_bypasses,
+            ),
+            (
+                "bypasses == seq + promote + no_allocate",
+                self.bypasses
+                == self.seq_bypasses + self.promote_deferrals + self.no_allocates,
+            ),
         ]
         if line_words is not None:
-            checks.append(
-                ("words_filled == fills * line_words",
-                 self.words_filled == self.fills * line_words)
-            )
-            checks.append(
-                ("words_written_back == writebacks * line_words",
-                 self.words_written_back == self.writebacks * line_words)
-            )
+            checks += [
+                (
+                    "words_filled == fills * line_words",
+                    self.words_filled == self.fills * line_words,
+                ),
+                (
+                    "words_written_back == writebacks * line_words",
+                    self.words_written_back == self.writebacks * line_words,
+                ),
+            ]
         return [label for label, ok in checks if not ok]
 
     def as_dict(self):
@@ -260,12 +278,17 @@ class DataCacheStats:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class CacheLine:
-    """One resident line: which tag occupies which SRAM slot."""
+    """One resident line: which tag occupies which SRAM slot.
+
+    Lines compare by identity: the model moves them within their set's
+    LRU list, and no two lines are ever interchangeable.
+    """
 
     set_index: int
     slot: int  # way index; fixes the line's SRAM address for life
+    sram: int  # first SRAM byte of the slot
     tag: int = -1
     dirty: bool = False
     dirty_since: int = 0  # tick of the write that dirtied it
@@ -294,8 +317,9 @@ class DataCacheModel:
     """Pure cache state machine over FRAM line tags.
 
     *base* is the first SRAM byte of the line store; line ``(set, way)``
-    lives at ``base + (set * ways + way) * line_bytes``. The model hands
-    out decisions and updates its own state; copying bytes is the
+    lives at ``base + (set * ways + way) * line_bytes``. The model
+    updates its own state on every access -- :meth:`hit` for resident
+    lines, :meth:`decide` for everything -- and copying bytes is the
     runtime's job.
     """
 
@@ -307,7 +331,14 @@ class DataCacheModel:
         self.ticks = 0
         # Per set: lines in LRU order, most-recently-used last.
         self._sets = [
-            [CacheLine(set_index=index, slot=way) for way in range(config.ways)]
+            [
+                CacheLine(
+                    set_index=index,
+                    slot=way,
+                    sram=base + (index * config.ways + way) * config.line_bytes,
+                )
+                for way in range(config.ways)
+            ]
             for index in range(config.sets)
         ]
         # Promotion gate: requests seen per absent tag.
@@ -315,6 +346,10 @@ class DataCacheModel:
         # Sequential-run detector state.
         self._seq_last_tag = None
         self._seq_run = 0
+        # The hit path's constants, read once per access.
+        self._line_bytes = config.line_bytes
+        self._set_count = config.sets
+        self._write_back = config.mode == "back"
 
     # -- geometry ------------------------------------------------------------------
 
@@ -322,30 +357,9 @@ class DataCacheModel:
     def line_words(self):
         return self.config.line_bytes // 2
 
-    def locate(self, address):
-        tag = address // self.config.line_bytes
-        return tag % self.config.sets, tag
-
-    def line_address(self, line):
-        """First SRAM byte of *line*'s slot."""
-        offset = line.set_index * self.config.ways + line.slot
-        return self.base + offset * self.config.line_bytes
-
     def fram_address(self, tag):
         """First FRAM byte of the line *tag* caches."""
         return tag * self.config.line_bytes
-
-    def sram_address(self, line, address):
-        """Where *address* (FRAM, inside *line*) lives in the slot."""
-        return self.line_address(line) + address % self.config.line_bytes
-
-    def find(self, tag, set_index=None):
-        if set_index is None:
-            set_index = tag % self.config.sets
-        for line in self._sets[set_index]:
-            if line.tag == tag:
-                return line
-        return None
 
     def dirty_lines(self):
         """All dirty lines, set-major then slot order (deterministic)."""
@@ -366,6 +380,39 @@ class DataCacheModel:
 
     # -- the decision procedure ------------------------------------------------------
 
+    def hit(self, address, is_write):
+        """The resident line holding *address*, with the hit accounted.
+
+        Returns ``None`` and touches no state when the line is absent;
+        :meth:`decide` then classifies the miss. A hit costs one scan
+        of the set: tick, sequence detector, stats, dirty marking and
+        the LRU move happen here and nowhere else.
+        """
+        tag = address // self._line_bytes
+        lines = self._sets[tag % self._set_count]
+        for line in lines:
+            if line.tag == tag:
+                break
+        else:
+            return None
+        self.ticks = ticks = self.ticks + 1
+        self._observe_sequence(tag)
+        stats = self.stats
+        if is_write:
+            stats.writes += 1
+            stats.write_hits += 1
+            if self._write_back and not line.dirty:
+                line.dirty = True
+                line.dirty_since = ticks
+        else:
+            stats.reads += 1
+            stats.read_hits += 1
+        line.last_tick = ticks
+        if lines[-1] is not line:
+            lines.remove(line)
+            lines.append(line)
+        return line
+
     def decide(self, address, is_write):
         """Classify one application access and update cache state.
 
@@ -374,32 +421,19 @@ class DataCacheModel:
         matching Open-CAS, where the cutoff screens streams before any
         per-line bookkeeping happens.
         """
+        line = self.hit(address, is_write)
+        if line is not None:
+            return Decision(HIT, line=line)
         config = self.config
         stats = self.stats
         self.ticks += 1
-        set_index, tag = self.locate(address)
+        tag = address // config.line_bytes
         sequential = self._observe_sequence(tag)
         if is_write:
             stats.writes += 1
-        else:
-            stats.reads += 1
-
-        line = self.find(tag, set_index)
-        if line is not None:
-            if is_write:
-                stats.write_hits += 1
-                if config.mode == "back" and not line.dirty:
-                    line.dirty = True
-                    line.dirty_since = self.ticks
-            else:
-                stats.read_hits += 1
-            line.last_tick = self.ticks
-            self._touch(line)
-            return Decision(HIT, line=line)
-
-        if is_write:
             stats.write_misses += 1
         else:
+            stats.reads += 1
             stats.read_misses += 1
 
         cause = None
@@ -424,7 +458,9 @@ class DataCacheModel:
                 stats.read_bypasses += 1
             return Decision(BYPASS, cause=cause)
 
-        victim = self._sets[set_index][0]  # LRU
+        lines = self._sets[tag % config.sets]
+        victim = lines.pop(0)  # LRU; becomes most recently used below
+        lines.append(victim)
         evicted_tag = victim.tag
         writeback = victim.valid and victim.dirty
         if victim.valid:
@@ -443,15 +479,7 @@ class DataCacheModel:
         else:
             stats.read_fills += 1
         stats.words_filled += self.line_words
-        self._touch(victim)
-        return Decision(
-            FILL, line=victim, evicted_tag=evicted_tag, writeback=writeback
-        )
-
-    def _touch(self, line):
-        lines = self._sets[line.set_index]
-        lines.remove(line)
-        lines.append(line)
+        return Decision(FILL, line=victim, evicted_tag=evicted_tag, writeback=writeback)
 
     def _observe_sequence(self, tag):
         """Track consecutive-line runs; True once past the cutoff."""

@@ -32,8 +32,6 @@ from repro.core.costs import CostCharger
 from repro.core.policy import make_cleaning
 from repro.datacache.cache import (
     BYPASS,
-    FILL,
-    HIT,
     NO_ALLOCATE,
     WB_CLEAN,
     WB_FLUSH,
@@ -41,7 +39,13 @@ from repro.datacache.cache import (
     DataCacheStats,
 )
 from repro.machine.memory import RegionKind
-from repro.machine.trace import READ, WRITE, Attribution
+from repro.machine.trace import READ, WRITE, Attribution, access_slot
+
+# The ``access_counts`` slots a hit tallies into when the counters take
+# the bus's flat tallies.
+_APP_SRAM_READ = access_slot(Attribution.APP, RegionKind.SRAM, READ)
+_APP_SRAM_WRITE = access_slot(Attribution.APP, RegionKind.SRAM, WRITE)
+_RUNTIME_SRAM_WRITE = access_slot(Attribution.RUNTIME, RegionKind.SRAM, WRITE)
 
 
 class DataCacheRuntime:
@@ -61,6 +65,11 @@ class DataCacheRuntime:
         self.costs = cost_model
         self.model = DataCacheModel(config, base=line_base)
         self.cleaning = make_cleaning(config.cleaning)
+        # Accesses between cleaning-policy consultations; 0 never
+        # consults it (write-through leaves no dirty lines to clean).
+        self._clean_interval = self.cleaning.interval if config.mode == "back" else 0
+        self._write_through = config.mode == "through"
+        self._offset_mask = config.line_bytes - 1
         #: Per-power-cycle history of lost dirty lines, for the
         #: crash-consistency audit. Host-side accounting: survives
         #: power cycles like every other counter.
@@ -83,11 +92,12 @@ class DataCacheRuntime:
             cost_model.cycles_per_instruction,
         )
 
-        # O(1) membership for the hot path: one byte per address.
-        self._window = bytearray(0x10000)
+        #: One byte per address, nonzero inside the window: the bus
+        #: tests it before handing an application access over.
+        self.covered = bytearray(0x10000)
         for lo, hi in window:
             for address in range(lo, hi):
-                self._window[address] = 1
+                self.covered[address] = 1
         self.window = tuple(tuple(pair) for pair in window)
 
     @property
@@ -112,64 +122,68 @@ class DataCacheRuntime:
 
     # -- the hot path (called from Bus.read / Bus.write) -----------------------------
 
-    def covers(self, address):
-        return self._window[address]
-
     def app_read(self, address, byte):
         model = self.model
-        decision = model.decide(address, False)
-        kind = decision.kind
-        if kind is not HIT:
-            if kind is FILL:
-                self._service_fill(decision, is_write=False)
-            else:  # BYPASS
-                self._note_bypass(decision, READ, address)
-                value = self.bus.fram_read_direct(address, byte)
-                self._tick_cleaning()
-                return value
         bus = self.bus
-        bus.counters.record_data(Attribution.APP, RegionKind.SRAM, READ)
-        slot = model.sram_address(decision.line, address)
-        if byte:
-            value = bus.memory.read_byte(slot)
+        line = model.hit(address, False)
+        if line is None:
+            line = self._miss(address, False)
+        if line is None:
+            value = bus.fram_read_direct(address, byte)
         else:
-            value = bus.memory.read_word(slot)
-        self._tick_cleaning()
+            counters = bus.counters
+            if counters.bus_tallies:
+                counters.access_counts[_APP_SRAM_READ] += 1
+            else:
+                counters.record_data(Attribution.APP, RegionKind.SRAM, READ)
+            data = bus.memory.data
+            slot = line.sram + (address & self._offset_mask)
+            value = data[slot] if byte else data[slot] | data[slot + 1] << 8
+        interval = self._clean_interval
+        if interval and not model.ticks % interval:
+            self._clean()
         return value
 
     def app_write(self, address, value, byte):
         model = self.model
         bus = self.bus
-        decision = model.decide(address, True)
-        kind = decision.kind
-        if kind is BYPASS:
-            self._note_bypass(decision, WRITE, address)
+        line = model.hit(address, True)
+        if line is None:
+            line = self._miss(address, True)
+        if line is None:
             bus.fram_write_direct(address, value, byte)
-            self._tick_cleaning()
-            return
-        if kind is FILL:
-            self._service_fill(decision, is_write=True)
-        slot = model.sram_address(decision.line, address)
-        if model.config.mode == "through":
-            # The store itself goes to FRAM (write-through pays the wait
-            # states exactly like an uncached store); the runtime keeps
-            # the SRAM copy coherent with one attributed SRAM store.
-            bus.fram_write_direct(address, value, byte)
-            with bus.attributed(Attribution.RUNTIME):
-                bus.counters.record_data(
-                    Attribution.RUNTIME, RegionKind.SRAM, WRITE
-                )
-                if byte:
-                    bus.memory.write_byte(slot, value)
-                else:
-                    bus.memory.write_word(slot, value)
         else:
-            bus.counters.record_data(Attribution.APP, RegionKind.SRAM, WRITE)
-            if byte:
-                bus.memory.write_byte(slot, value)
+            counters = bus.counters
+            if self._write_through:
+                # The store itself goes to FRAM (write-through pays the
+                # wait states exactly like an uncached store); the
+                # runtime keeps the SRAM copy coherent with one SRAM
+                # store of its own.
+                bus.fram_write_direct(address, value, byte)
+                attribution, tally = Attribution.RUNTIME, _RUNTIME_SRAM_WRITE
             else:
-                bus.memory.write_word(slot, value)
-        self._tick_cleaning()
+                attribution, tally = Attribution.APP, _APP_SRAM_WRITE
+            if counters.bus_tallies:
+                counters.access_counts[tally] += 1
+            else:
+                counters.record_data(attribution, RegionKind.SRAM, WRITE)
+            data = bus.memory.data
+            slot = line.sram + (address & self._offset_mask)
+            data[slot] = value & 0xFF
+            if not byte:
+                data[slot + 1] = value >> 8 & 0xFF
+        interval = self._clean_interval
+        if interval and not model.ticks % interval:
+            self._clean()
+
+    def _miss(self, address, is_write):
+        """Classify a miss and run its fill; ``None`` for a bypass."""
+        decision = self.model.decide(address, is_write)
+        if decision.kind is BYPASS:
+            self._note_bypass(decision, WRITE if is_write else READ, address)
+            return None
+        self._service_fill(decision, is_write)
+        return decision.line
 
     # -- the miss handler -------------------------------------------------------------
 
@@ -189,10 +203,7 @@ class DataCacheRuntime:
             if decision.writeback:
                 self._writeback_slot(line, decision.evicted_tag, cause="evict")
                 model.note_evict_writeback()
-            self._copy_line(
-                source=model.fram_address(line.tag),
-                dest=model.line_address(line),
-            )
+            self._copy_line(source=model.fram_address(line.tag), dest=line.sram)
         if emit is not None:
             emit(
                 "datacache.line-fill",
@@ -206,10 +217,7 @@ class DataCacheRuntime:
         """Copy one slot's bytes to their FRAM home (caller attributes)."""
         model = self.model
         self.handler_charger.charge(self.costs.writeback_instructions)
-        self._copy_line(
-            source=model.line_address(line),
-            dest=model.fram_address(tag),
-        )
+        self._copy_line(source=line.sram, dest=model.fram_address(tag))
         if self.board.emit is not None:
             self.board.emit(
                 "datacache.writeback",
@@ -250,10 +258,8 @@ class DataCacheRuntime:
                 note=f"{decision.cause}:{access_type}",
             )
 
-    def _tick_cleaning(self):
-        """Consult the cleaning policy once per application access."""
-        if self.model.config.mode != "back":
-            return
+    def _clean(self):
+        """Clean what the policy picks; due every ``interval`` accesses."""
         lines = self.cleaning.tick(self.model)
         if not lines:
             return
@@ -267,10 +273,7 @@ class DataCacheRuntime:
     def _clean_line(self, line):
         model = self.model
         tag = line.tag
-        self._copy_line(
-            source=model.line_address(line),
-            dest=model.fram_address(tag),
-        )
+        self._copy_line(source=line.sram, dest=model.fram_address(tag))
         model.mark_clean(line, WB_CLEAN)
         if self.board.emit is not None:
             self.board.emit(
@@ -294,10 +297,7 @@ class DataCacheRuntime:
             for line in dirty:
                 self.handler_charger.charge(self.costs.writeback_instructions)
                 tag = line.tag
-                self._copy_line(
-                    source=model.line_address(line),
-                    dest=model.fram_address(tag),
-                )
+                self._copy_line(source=line.sram, dest=model.fram_address(tag))
                 model.mark_clean(line, WB_FLUSH)
                 if self.board.emit is not None:
                     self.board.emit(
@@ -336,8 +336,7 @@ class DataCacheRuntime:
             "seq": (model._seq_last_tag, model._seq_run),
             "sets": [
                 [
-                    (line.tag, line.dirty, line.dirty_since, line.last_tick,
-                     line.slot)
+                    (line.tag, line.dirty, line.dirty_since, line.last_tick, line.slot)
                     for line in lines
                 ]
                 for lines in model._sets
@@ -352,20 +351,16 @@ class DataCacheRuntime:
         model.ticks = snapshot["ticks"]
         model._requests = dict(snapshot["requests"])
         model._seq_last_tag, model._seq_run = snapshot["seq"]
-        for set_index, lines in enumerate(snapshot["sets"]):
-            rebuilt = []
-            for tag, dirty, dirty_since, last_tick, slot in lines:
-                rebuilt.append(
-                    type(model._sets[set_index][0])(
-                        set_index=set_index,
-                        slot=slot,
-                        tag=tag,
-                        dirty=dirty,
-                        dirty_since=dirty_since,
-                        last_tick=last_tick,
-                    )
-                )
-            model._sets[set_index] = rebuilt
+        for lines, saved in zip(model._sets, snapshot["sets"]):
+            # Each slot keeps its line object; the saved order is the
+            # LRU order.
+            by_slot = {line.slot: line for line in lines}
+            lines[:] = [by_slot[slot] for *_, slot in saved]
+            for line, (tag, dirty, dirty_since, last_tick, _) in zip(lines, saved):
+                line.tag = tag
+                line.dirty = dirty
+                line.dirty_since = dirty_since
+                line.last_tick = last_tick
         model.stats.__dict__.update(snapshot["stats"])
         self.lost_lines[:] = [list(boot) for boot in snapshot["lost_lines"]]
         self.last_drop = list(snapshot.get("last_drop", ()))

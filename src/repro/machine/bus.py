@@ -179,7 +179,7 @@ class Bus:
             self.data_cache is not None
             and kind is RegionKind.FRAM
             and self.attribution is Attribution.APP
-            and self.data_cache.covers(address)
+            and self.data_cache.covered[address]
         ):
             return self.data_cache.app_read(address, byte)
         counters = self.counters
@@ -209,7 +209,7 @@ class Bus:
             self.data_cache is not None
             and kind is RegionKind.FRAM
             and self.attribution is Attribution.APP
-            and self.data_cache.covers(address)
+            and self.data_cache.covered[address]
         ):
             self.data_cache.app_write(address, value, byte)
             return
@@ -240,7 +240,13 @@ class Bus:
         deferrals) so a bypassed access costs exactly what the access
         would have cost with no data cache attached.
         """
-        self.counters.record_data(self.attribution, RegionKind.FRAM, READ)
+        counters = self.counters
+        if counters.bus_tallies:
+            counters.access_counts[
+                READ_BASE + self.attribution.slot * REGIONS + RegionKind.FRAM.slot
+            ] += 1
+        else:
+            counters.record_data(self.attribution, RegionKind.FRAM, READ)
         self._fram_read_timing(address)
         if byte:
             return self.memory.read_byte(address)
@@ -248,7 +254,13 @@ class Bus:
 
     def fram_write_direct(self, address, value, byte=False):
         """The plain FRAM data-write path, callable by the data cache."""
-        self.counters.record_data(self.attribution, RegionKind.FRAM, WRITE)
+        counters = self.counters
+        if counters.bus_tallies:
+            counters.access_counts[
+                WRITE_BASE + self.attribution.slot * REGIONS + RegionKind.FRAM.slot
+            ] += 1
+        else:
+            counters.record_data(self.attribution, RegionKind.FRAM, WRITE)
         self._fram_write_timing(address)
         if byte:
             self.memory.write_byte(address, value)

@@ -8,7 +8,10 @@ the same functions so the unit specs -- and therefore the
 content-addressed keys -- agree everywhere.
 """
 
-from repro.sweep.config import CampaignConfig
+import itertools
+
+from repro.datacache.cache import DataCacheConfig
+from repro.sweep.config import CampaignConfig, ConfigError
 
 
 def difftest_campaign(seed=0, count=20, size="medium", quick=False, name=None):
@@ -154,8 +157,16 @@ def datacache_campaign(
     The executor skips the meaningless corners deterministically
     (cleaning policies only act in write-back mode), so the grid stays
     rectangular -- and therefore resumable and shardable -- while the
-    merged document only carries the cells that ran.
+    merged document only carries the cells that ran. A mode, cleaning
+    spec or geometry no cell could build raises :class:`ConfigError`
+    here, before any cell runs.
     """
+    for mode, cleaning, geometry in itertools.product(modes, cleanings, geometries):
+        config = DataCacheConfig(mode=mode, cleaning=cleaning)
+        try:
+            config.with_geometry(geometry).validated()
+        except ValueError as error:
+            raise ConfigError(str(error)) from None
     return CampaignConfig(
         "datacache",
         name or "datacache",

@@ -248,7 +248,10 @@ def _preset_config(args, parser):
             parser.error("--preset cache-size needs --benchmark and --cache-sizes")
     if args.preset == "matrix" and "benchmarks" not in kwargs:
         parser.error("--preset matrix needs --benchmarks")
-    return PRESETS[args.preset](**kwargs)
+    try:
+        return PRESETS[args.preset](**kwargs)
+    except ConfigError as error:
+        parser.error(str(error))
 
 
 def _load_config(args, parser):

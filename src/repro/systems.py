@@ -220,8 +220,10 @@ class RunSpec:
         if self.expected is not None:
             object.__setattr__(self, "expected", tuple(self.expected))
         checked_options(self.system, **self._knobs())
-        if self.datacache is not None and self.entry.capture_kind != "datacache":
-            raise ValueError(f"system {self.system!r} takes no datacache option")
+        if self.datacache is not None:
+            if self.entry.capture_kind != "datacache":
+                raise ValueError(f"system {self.system!r} takes no datacache option")
+            self.datacache.validated()
 
     @classmethod
     def of(cls, program, scale=1, **fields):

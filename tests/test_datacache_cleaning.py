@@ -4,11 +4,17 @@ ALRU is lazy -- only stale lines, least recently used first; ACP is
 aggressive -- any dirty line, ascending address order. That ordering
 difference is not cosmetic: it is exactly what decides which idiom the
 write-back fault demo breaks (see ``repro.datacache.demo``), so the
-order itself is pinned here, policy by policy.
+order itself is pinned here, policy by policy. So are the parameter
+ranges every entry point refuses before a run starts, and the runtime's
+promise to consult a policy exactly once per ``interval`` accesses.
 """
 
+import io
 from dataclasses import dataclass
 
+import pytest
+
+from repro.bench import get_benchmark
 from repro.core.policy import (
     AcpCleaning,
     AlruCleaning,
@@ -16,6 +22,12 @@ from repro.core.policy import (
     make_cleaning,
 )
 from repro.datacache.cache import DataCacheConfig, DataCacheModel
+from repro.datacache.cli import main as datacache_main
+from repro.datacache.system import build_datacache
+from repro.sweep import datacache_campaign
+from repro.sweep.config import ConfigError
+from repro.systems import RunSpec
+from repro.toolchain import PLANS
 
 
 @dataclass
@@ -106,3 +118,75 @@ def test_model_reports_dirty_lines_deterministically():
     ]
     # Set-major: the set indices come out non-decreasing.
     assert [s for s, _, _ in first] == sorted(s for s, _, _ in first)
+
+
+# -- parameter ranges ---------------------------------------------------------------
+
+OUT_OF_RANGE = (
+    "alru:interval=0",
+    "alru:interval=-4",
+    "alru:batch=0",
+    "alru:age=-1",
+    "acp:interval=0",
+    "acp:batch=0",
+)
+
+
+@pytest.mark.parametrize("spec", OUT_OF_RANGE)
+def test_out_of_range_parameters_are_refused_before_any_run(spec):
+    with pytest.raises(ValueError, match="must be an int"):
+        make_cleaning(spec)
+    config = DataCacheConfig(cleaning=spec)
+    assert config.problems()
+    with pytest.raises(ValueError):
+        RunSpec.of("crc", system="datacache-wb", datacache=config)
+    with pytest.raises(ConfigError):
+        datacache_campaign(benchmarks=["crc"], cleanings=["alru", spec])
+
+
+def test_the_range_boundaries_are_accepted():
+    policy = make_cleaning("alru:interval=1,batch=1,age=0")
+    assert (policy.interval, policy.batch, policy.age) == (1, 1, 0)
+    assert make_cleaning("acp:interval=1,batch=1").interval == 1
+
+
+def test_the_sweep_cli_refuses_a_bad_spec_without_running_a_cell(tmp_path):
+    out = io.StringIO()
+    path = tmp_path / "sweep.json"
+    argv = ["sweep", "--benchmarks", "crc", "--cleanings", "alru:interval=0"]
+    assert datacache_main(argv + ["--out", str(path)], out=out) == 2
+    assert "interval must be an int >= 1" in out.getvalue()
+    assert not path.exists()
+
+
+# -- the runtime consults the policy once per interval ------------------------------
+
+
+class _CountingCleaning(NopCleaning):
+    """Records the tick of every consultation; never cleans."""
+
+    def __init__(self, interval):
+        self.interval = interval
+        self.consulted = []
+
+    def tick(self, cache):
+        self.consulted.append(cache.ticks)
+        return ()
+
+
+def test_runtime_consults_the_policy_once_per_interval():
+    policy = _CountingCleaning(interval=64)
+    config = DataCacheConfig(mode="back", cleaning=policy)
+    system = build_datacache(get_benchmark("crc").source, PLANS["unified"], config)
+    system.run()
+    ticks = system.runtime.model.ticks
+    assert system.runtime.cleaning is policy
+    assert policy.consulted == list(range(64, ticks + 1, 64))
+
+
+def test_write_through_and_nop_never_consult_the_policy():
+    assert NopCleaning.interval == 0
+    policy = _CountingCleaning(interval=1)
+    config = DataCacheConfig(mode="through", cleaning=policy)
+    build_datacache(get_benchmark("crc").source, PLANS["unified"], config).run()
+    assert policy.consulted == []
