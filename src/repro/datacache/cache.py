@@ -343,9 +343,10 @@ class DataCacheModel:
         ]
         # Promotion gate: requests seen per absent tag.
         self._requests = {}
-        # Sequential-run detector state.
+        # Sequential-run detector state, kept only when a cutoff reads it.
         self._seq_last_tag = None
         self._seq_run = 0
+        self._seq_cutoff = config.seq_cutoff_lines
         # The hit path's constants, read once per access.
         self._line_bytes = config.line_bytes
         self._set_count = config.sets
@@ -396,7 +397,8 @@ class DataCacheModel:
         else:
             return None
         self.ticks = ticks = self.ticks + 1
-        self._observe_sequence(tag)
+        if self._seq_cutoff:
+            self._observe_sequence(tag)
         stats = self.stats
         if is_write:
             stats.writes += 1
@@ -428,7 +430,6 @@ class DataCacheModel:
         stats = self.stats
         self.ticks += 1
         tag = address // config.line_bytes
-        sequential = self._observe_sequence(tag)
         if is_write:
             stats.writes += 1
             stats.write_misses += 1
@@ -437,7 +438,7 @@ class DataCacheModel:
             stats.read_misses += 1
 
         cause = None
-        if config.seq_cutoff_lines and sequential:
+        if self._seq_cutoff and self._observe_sequence(tag):
             cause = SEQ
             stats.seq_bypasses += 1
         elif is_write and config.mode == "through":

@@ -1,9 +1,9 @@
-"""One-call construction of a data-cache-enabled system.
+"""The data-cache system's attach stage, and one-call construction.
 
-``build_datacache`` compiles and links exactly like the baseline (the
-image is byte-identical to ``build_baseline``'s, which is what makes
-write-through configurations replayable from baseline traces), then
-attaches a :class:`~repro.datacache.runtime.DataCacheRuntime`:
+The data cache links exactly like the baseline (its link stage *is*
+``link_baseline``, which is what makes write-through configurations
+replayable from baseline traces); ``attach_datacache``, its attach
+stage, installs a :class:`~repro.datacache.runtime.DataCacheRuntime`:
 
 * the **line store** occupies the front of the free SRAM window the
   linker reports (``cache_base``/``cache_size``) -- the same spare SRAM
@@ -19,12 +19,13 @@ Capacity overruns raise :class:`~repro.toolchain.linker.FitError`, the
 same DNF outcome as everywhere else.
 """
 
+from functools import partial
+
 from repro.core.costs import DataCacheCostModel
 from repro.datacache.cache import DataCacheConfig
 from repro.datacache.runtime import DataCacheRuntime
-from repro.machine.board import Board
-from repro.toolchain.build import System, add_startup, compile_program
-from repro.toolchain.linker import FitError, link
+from repro.toolchain.build import build_system, link_baseline
+from repro.toolchain.linker import FitError
 
 
 def data_window(linked):
@@ -79,16 +80,18 @@ def runtime_area(linked, cost_model):
     return handler_base
 
 
-def attach_datacache(board, linked, config, cost_model=None):
-    """Attach a data-cache runtime to an already-built baseline board.
+def attach_datacache(board, artefacts, config=None, cost_model=None):
+    """The data cache's attach stage: install a runtime on a baseline board.
 
-    Shared by :func:`build_datacache` and the replay engine (which
-    rebuilds the baseline image from a trace and then attaches the
-    requested configuration), so both paths construct byte-identical
-    runtimes.
+    *artefacts* are the baseline link stage's: the data cache links
+    exactly as the baseline does, which is how the replay engine
+    attaches any write-through configuration over a baseline trace.
+    *config* is a :class:`~repro.datacache.cache.DataCacheConfig`
+    (default: write-back, 16x2x16, ALRU cleaning).
     """
-    config = config.validated()
+    config = (config if config is not None else DataCacheConfig()).validated()
     cost_model = cost_model or DataCacheCostModel()
+    linked = artefacts.linked
     cache_base = (linked.cache_base + 1) & ~1
     cache_size = linked.memory_map.sram.end - cache_base
     if config.total_bytes > cache_size:
@@ -97,16 +100,14 @@ def attach_datacache(board, linked, config, cost_model=None):
             f"{config.line_bytes} needs {config.total_bytes} bytes of SRAM, "
             f"only {cache_size} free"
         )
-    runtime = DataCacheRuntime(
+    return DataCacheRuntime(
         board,
         config,
         window=data_window(linked),
         line_base=cache_base,
         handler_base=runtime_area(linked, cost_model),
         cost_model=cost_model,
-    )
-    runtime.install()
-    return runtime
+    ).install()
 
 
 def build_datacache(
@@ -119,22 +120,15 @@ def build_datacache(
 ):
     """Build a data-cache system for mini-C source or an assembly Program.
 
-    *config* is a :class:`~repro.datacache.cache.DataCacheConfig`
-    (default: write-back, 16x2x16, ALRU cleaning). The image is linked
-    exactly as the baseline's -- the data cache is a pure runtime
-    attachment, which keeps write-through configurations replayable
-    from baseline traces.
+    The image is linked exactly as the baseline's -- the data cache is
+    a pure runtime attachment, which keeps write-through configurations
+    replayable from baseline traces.
     """
-    config = config if config is not None else DataCacheConfig()
-    if isinstance(source_or_program, str):
-        program = compile_program(source_or_program)
-    else:
-        program = add_startup(source_or_program)
-    linked = link(program, plan)
-    board = Board(
-        memory_map=linked.memory_map, frequency_mhz=frequency_mhz, **board_kwargs
+    return build_system(
+        source_or_program,
+        plan,
+        link_baseline,
+        partial(attach_datacache, config=config, cost_model=cost_model),
+        frequency_mhz,
+        **board_kwargs,
     )
-    board.load(linked.image)
-    board.linked = linked
-    runtime = attach_datacache(board, linked, config, cost_model=cost_model)
-    return System(board=board, runtime=runtime, linked=linked)

@@ -12,13 +12,11 @@
   miss counts the sweep must reproduce -- CI asserts the equality).
 """
 
+from repro import systems
 from repro.bench import get_benchmark
-from repro.machine.board import Board
 from repro.machine.fram_cache import FramReadCache
 from repro.systems import RunSpec, run
 from repro.toolchain import PLANS
-from repro.toolchain.build import compile_program
-from repro.toolchain.linker import link
 
 
 def _sweep_row(cache_size, baseline, result, stats):
@@ -145,15 +143,14 @@ def _fram_cache_size_sweep(benchmark_name, cache_sizes, frequency_mhz, engine):
                 )
             )
         return rows
-    program = compile_program(bench.source)
     for cache_bytes in cache_sizes:
         sets, ways, line_bytes = _fram_line_geometry(cache_bytes)
-        linked = link(program.clone(), PLANS["unified"])
-        board = Board(memory_map=linked.memory_map, frequency_mhz=frequency_mhz)
+        board = systems.build(
+            "baseline", bench.source, PLANS["unified"], frequency_mhz
+        ).board
         board.bus.fram_cache = FramReadCache(
             sets=sets, ways=ways, line_bytes=line_bytes
         )
-        board.load(linked.image)
         result = board.run()
         assert result.debug_words == bench.expected
         rows.append(_fram_row(cache_bytes, result, board.bus.fram_cache))
@@ -247,13 +244,12 @@ def hw_cache_sweep(benchmark_name, line_counts, frequency_mhz=24):
     software approach.
     """
     bench = get_benchmark(benchmark_name)
-    program = compile_program(bench.source)
     rows = []
     for lines in line_counts:
-        linked = link(program.clone(), PLANS["unified"])
-        board = Board(memory_map=linked.memory_map, frequency_mhz=frequency_mhz)
+        board = systems.build(
+            "baseline", bench.source, PLANS["unified"], frequency_mhz
+        ).board
         board.bus.fram_cache = FramReadCache(sets=max(lines // 2, 1), ways=2)
-        board.load(linked.image)
         result = board.run()
         assert result.debug_words == bench.expected
         rows.append(

@@ -11,9 +11,8 @@ stalls). The paper's findings, which must hold here:
 * SRAM/SRAM is fastest but rarely fits real programs.
 """
 
-from repro.machine.board import Board
-from repro.toolchain import PLANS, link
-from repro.toolchain.build import compile_program
+from repro import systems
+from repro.toolchain import PLANS
 from repro.experiments.report import format_table
 
 #: Mixed 16-bit arithmetic over a small working set: the "arithmetic
@@ -61,17 +60,14 @@ CONFIGS = [
 
 def collect():
     """Run all placements at both frequencies; returns row dicts."""
-    program = compile_program(ARITH_SOURCE)
     rows = []
     reference_output = None
     for label, plan_name in CONFIGS:
         for frequency in (8, 24):
-            linked = link(program.clone(), PLANS[plan_name])
-            board = Board(
-                memory_map=linked.memory_map, frequency_mhz=frequency
+            system = systems.build(
+                "baseline", ARITH_SOURCE, PLANS[plan_name], frequency
             )
-            board.load(linked.image)
-            result = board.run()
+            result = system.run()
             if reference_output is None:
                 reference_output = result.debug_words
             assert result.debug_words == reference_output

@@ -199,11 +199,13 @@ class ExperimentRunner:
         if self.trace_store is not None:
             from dataclasses import asdict as plan_asdict
 
+            datacache = spec.datacache_config
             document = self.trace_store.load(
                 spec.entry.capture_kind,
                 plan_asdict(spec.memory_plan),
                 self.scale,
                 spec.source,
+                datacache=datacache and datacache.as_dict(),
             )
         if document is None:
             with timer.phase("capture"):

@@ -30,9 +30,6 @@ against identical cache geometry -- the validity checker enforces it.
 
 from dataclasses import asdict
 
-from repro.core.runtime import SwapRamRuntime
-from repro.blockcache.runtime import BlockCacheRuntime
-from repro.datacache.runtime import DataCacheRuntime
 from repro.isa.registers import PC
 from repro.machine.memory import RegionKind
 from repro.machine.observe import observe, unobserve
@@ -50,7 +47,6 @@ _APP_SRAM_FETCH = access_slot(_APP, RegionKind.SRAM, FETCH)
 _APP_FRAM_FETCH = access_slot(_APP, RegionKind.FRAM, FETCH)
 
 
-BASELINE = "baseline"
 SWAPRAM = "swapram"
 BLOCK = "block"
 DATACACHE = "datacache"
@@ -58,24 +54,6 @@ DATACACHE = "datacache"
 
 class CaptureError(RuntimeError):
     """The run cannot be captured as a well-formed trace."""
-
-
-def classify(target):
-    """``(kind, board, runtime)`` for a built system or bare board."""
-    runtime = getattr(target, "runtime", None)
-    board = getattr(target, "board", target)
-    if runtime is None:
-        return BASELINE, board, None
-    if isinstance(runtime, SwapRamRuntime):
-        return SWAPRAM, board, runtime
-    if isinstance(runtime, BlockCacheRuntime):
-        return BLOCK, board, runtime
-    if isinstance(runtime, DataCacheRuntime):
-        # The data cache intercepts at the bus, below the observation
-        # seam, so the recorded stream is the *application* stream --
-        # baseline-shaped regardless of hits, fills or writebacks.
-        return DATACACHE, board, runtime
-    raise CaptureError(f"cannot capture system with runtime {type(runtime)!r}")
 
 
 class _Recorder:
@@ -109,7 +87,9 @@ class _Recorder:
             self._pending = None
             self._window = (board.linked.cache_base, board.bus.memory_map.sram.end)
         # DATACACHE installs no CPU hook: its interception lives inside
-        # bus.read/bus.write, *below* the seam, so nothing to mark.
+        # bus.read/bus.write, *below* the seam, so the recorded stream
+        # is the *application* stream -- baseline-shaped regardless of
+        # hits, fills or writebacks -- and there is nothing to mark.
 
     # -- activation tracking (SwapRAM) -----------------------------------------
 
@@ -233,9 +213,10 @@ def capture(spec, benchmark=None):
     from repro.tracing.runtime import current_recorder
     from repro.tracing.span import NULL_SPAN
 
+    kind = spec.entry.capture_kind
+
     def record(system):
-        kind, board, runtime = classify(system)
-        return observe(board, _Recorder(kind, board, runtime))
+        return observe(system.board, _Recorder(kind, system.board, system.runtime))
 
     tracing = current_recorder()
     # Raw (det=False): captures are memoised per process, so whether
@@ -244,7 +225,7 @@ def capture(spec, benchmark=None):
         tracing.span(
             "replay.capture",
             det=False,
-            attrs={"benchmark": benchmark, "system": spec.entry.capture_kind},
+            attrs={"benchmark": benchmark, "system": kind},
         )
         if tracing
         else NULL_SPAN
@@ -255,7 +236,7 @@ def capture(spec, benchmark=None):
     if outcome.dnf:
         raise CaptureError(f"run did not halt: {outcome.error}") from outcome.error
     recorder = outcome.sessions[0]
-    board, runtime, kind = recorder.board, outcome.system.runtime, recorder.kind
+    board, runtime = recorder.board, outcome.system.runtime
 
     config = {}
     if "cache_limit" in spec.entry.options:

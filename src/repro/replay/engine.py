@@ -4,13 +4,14 @@ A :class:`ReplayEngine` wraps one :class:`~repro.replay.schema.TraceDocument`
 and replays it against any valid configuration without re-executing the
 CPU. The division of labour:
 
-* **Rebuild once.** The mini-C source embedded in the trace header is
-  compiled, instrumented and linked exactly as ``build_swapram`` /
-  ``build_blockcache`` / ``build_baseline`` would, and the resulting
+* **Link once.** The mini-C source embedded in the trace header is
+  compiled and run through the captured system's :mod:`repro.systems`
+  link stage -- the one every execution uses -- and the resulting
   image hash must match the capture's -- otherwise the trace is stale
   and replay is refused. For SwapRAM the image is *identical* across
-  every policy x cache-limit cell, so one build serves the whole
-  ablation grid.
+  every policy x cache-limit cell, so one link serves the whole
+  ablation grid; each configuration then loads a board and runs the
+  registry's attach stage on it.
 * **Compile the stream once.** Every recorded data access is classified
   (region kind, MMIO port, redirection/active-table membership) into a
   small opcode while decoding; addresses are execution-invariant, so
@@ -42,15 +43,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.blockcache.runtime import BlockCacheRuntime
-from repro.blockcache.transform import BlockCostModel, instrument_for_blockcache
-from repro.core.costs import RuntimeCostModel
-from repro.core.policy import POLICIES
-from repro.core.runtime import SwapRamRuntime
+from repro import systems
 from repro.core.transform import ACTIVE_TABLE, REDIR_TABLE
-from repro.core.transform import instrument_for_swapram
 from repro.isa.registers import PC
-from repro.machine.board import Board
 from repro.machine.fram_cache import FramReadCache
 from repro.machine.memory import (
     DEBUG_OUT_PORT,
@@ -75,8 +70,8 @@ from repro.replay.schema import (
     image_sha256,
 )
 from repro.replay.validity import ReplayRefused, SYSTEMS, check_image, check_request
-from repro.toolchain.build import compile_program
-from repro.toolchain.linker import MemoryPlan, link
+from repro.toolchain.build import compile_program, load_board
+from repro.toolchain.linker import MemoryPlan
 
 #: Replay the dimension exactly as it was captured.
 AS_CAPTURED = object()
@@ -141,7 +136,7 @@ class ReplayOutcome:
 
     result: object  # RunResult
     stats: object  # SwapRamStats / BlockCacheStats / None
-    board: Board
+    board: object
     runtime: object
     config: dict
     seconds: float  # event-walk wall clock
@@ -164,6 +159,7 @@ class ReplayEngine:
         if system not in SYSTEMS:
             raise ReplayRefused([f"unknown system {system!r} in trace header"])
         self.system = system
+        self._entry = systems.for_capture(system)
         self.build_seconds = 0.0
         self.compile_seconds = 0.0
         self._artifacts = None
@@ -176,12 +172,12 @@ class ReplayEngine:
     @property
     def linked(self):
         """The rebuilt, hash-verified link artefacts for this trace."""
-        return self._ensure_artifacts()[0]
+        return self._ensure_artifacts().linked
 
     # -- one-time work --------------------------------------------------------------
 
     def _ensure_artifacts(self):
-        """Rebuild the captured system's image; verify it byte-matches."""
+        """Relink the captured system's image; verify it byte-matches."""
         if self._artifacts is not None:
             return self._artifacts
         header = self.header
@@ -191,44 +187,25 @@ class ReplayEngine:
                 ["trace has no embedded source; cannot rebuild the image"]
             )
         started = time.perf_counter()
-        plan = MemoryPlan(**header["plan_config"])
         config = header.get("capture_config") or {}
-        if self.system == SWAPRAM:
-            cost_model = RuntimeCostModel()
-            instrumented, meta = instrument_for_swapram(
-                compile_program(source),
-                blacklist={"main"},
-                cost_model=cost_model,
-            )
-            linked = link(instrumented, plan)
-        elif self.system == BLOCK:
-            cost_model = BlockCostModel()
-            program = compile_program(source)
-            from repro.blockcache.system import _expected_cache_bytes
-
-            expected = _expected_cache_bytes(program, plan)
-            if config.get("cache_limit") is not None:
-                expected = min(expected, config["cache_limit"])
-            instrumented, meta = instrument_for_blockcache(
-                program,
-                blacklist=(),
-                slot_bytes=config.get("slot_bytes", 48),
-                expected_cache_bytes=expected,
-                cost_model=cost_model,
-            )
-            linked = link(instrumented, plan)
-        else:
-            cost_model = None
-            meta = None
-            linked = link(compile_program(source), plan)
+        entry = self._entry
+        artefacts = entry.link(
+            compile_program(source),
+            MemoryPlan(**header["plan_config"]),
+            **{
+                knob: config[knob]
+                for knob in entry.link_options
+                if config.get(knob) is not None
+            },
+        )
         self.build_seconds += time.perf_counter() - started
 
-        reasons = check_image(header, image_sha256(linked.image))
+        reasons = check_image(header, image_sha256(artefacts.linked.image))
         if reasons:
             self._refused()
             raise ReplayRefused(reasons)
-        self._artifacts = (linked, meta, cost_model)
-        return self._artifacts
+        self._artifacts = artefacts
+        return artefacts
 
     def _ensure_compiled(self):
         """Classify every recorded access into opcodes, once.
@@ -395,59 +372,6 @@ class ReplayEngine:
         self.compile_seconds += time.perf_counter() - started
         return compiled
 
-    # -- per-configuration construction ---------------------------------------------
-
-    def _build_target(
-        self, policy, cache_limit, frequency_mhz, thrash_guard, prefetcher,
-        fram_cache=None, datacache=None,
-    ):
-        linked, meta, cost_model = self._artifacts
-        board = Board(memory_map=linked.memory_map, frequency_mhz=frequency_mhz)
-        if fram_cache is not None:
-            # The FRAM read cache is timing-only (never feeds back into
-            # the instruction stream), so any geometry is a free replay
-            # dimension for every system -- hw_cache_sweep's precedent.
-            sets, ways, line_bytes = fram_cache
-            board.bus.fram_cache = FramReadCache(
-                sets=sets, ways=ways, line_bytes=line_bytes
-            )
-        board.load(linked.image)
-        board.linked = linked
-        if datacache is not None:
-            # Validity has already refused write-back; a write-through
-            # data cache is a free dimension over baseline-shaped
-            # streams (lookups never alter the instruction stream).
-            from repro.datacache.system import attach_datacache
-
-            return board, attach_datacache(board, linked, datacache)
-        if self.system == SWAPRAM:
-            cache_size = linked.cache_size & ~1
-            cache_base = (linked.cache_base + 1) & ~1
-            if cache_limit is not None:
-                cache_size = min(cache_size, cache_limit & ~1)
-            policy_class = POLICIES.get(policy)
-            if policy_class is None:
-                raise ReplayRefused([f"unknown policy {policy!r}"])
-            runtime = SwapRamRuntime(
-                board,
-                linked.image,
-                meta,
-                policy_class(cache_base, cache_size),
-                cost_model,
-                thrash_guard=thrash_guard,
-                prefetcher=prefetcher,
-            )
-        elif self.system == BLOCK:
-            cache_size = linked.cache_size
-            if cache_limit is not None:
-                cache_size = min(cache_size, cache_limit)
-            runtime = BlockCacheRuntime(
-                board, linked.image, meta, linked.cache_base, cache_size
-            )
-        else:
-            runtime = None
-        return board, runtime
-
     # -- the replay ----------------------------------------------------------------
 
     def replay(
@@ -509,12 +433,34 @@ class ReplayEngine:
             self._refused()
             raise ReplayRefused(reasons)
 
-        self._ensure_artifacts()
         compiled = self._ensure_compiled()
-        board, runtime = self._build_target(
-            policy, cache_limit, frequency_mhz, thrash_guard, prefetcher,
-            fram_cache=fram_cache, datacache=datacache,
-        )
+        # Per configuration: a loaded board and the registry's attach
+        # stage, as every execution builds it.
+        board = load_board(self._artifacts.linked, frequency_mhz)
+        if fram_cache is not None:
+            # The FRAM read cache is timing-only (never feeds back into
+            # the instruction stream), so any geometry is a free replay
+            # dimension for every system -- hw_cache_sweep's precedent.
+            board.bus.fram_cache = FramReadCache(*fram_cache)
+        # Validity has refused every knob the captured system does not
+        # take, so what is set here is the attach stage's.
+        entry = self._entry
+        knobs = {
+            knob: value
+            for knob, value in (
+                ("policy", policy),
+                ("cache_limit", cache_limit),
+                ("thrash_guard", thrash_guard),
+                ("prefetcher", prefetcher),
+            )
+            if value is not None
+        }
+        if datacache is not None:
+            # Validity has already refused write-back; a write-through
+            # data cache is a free dimension over baseline-shaped
+            # streams (lookups never alter the instruction stream).
+            entry, knobs = systems.for_capture(DATACACHE), {"config": datacache}
+        runtime = entry.attach(board, self._artifacts, **knobs)
         if self.system == BLOCK:
             # Chained branches in the stream encode capture-time slot
             # addresses; any geometry drift invalidates them.

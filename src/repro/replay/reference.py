@@ -49,14 +49,6 @@ def execute_reference(
     return outcome.system, outcome.result
 
 
-def _board_of(target):
-    return getattr(target, "board", target)
-
-
-def _stats_of(target):
-    return getattr(target, "stats", None)
-
-
 def diff_dicts(label, expected, actual):
     """Mismatch strings between two flat dicts of totals."""
     problems = []
@@ -88,21 +80,20 @@ def diff_counters(executed, replayed):
 
 
 def diff_outcome(target, result, outcome):
-    """Every way the replayed *outcome* differs from the executed run.
+    """Every way the replayed *outcome* differs from the executed
+    :class:`~repro.toolchain.build.System` *target*.
 
     Compares the full run-result dict (cycles, accesses, energy, debug
     output), the cache-runtime statistics, and the raw access counters.
     Returns a list of strings; empty means the replay is bit-identical.
     """
     problems = diff_dicts("result", result.as_dict(), outcome.result.as_dict())
-    stats = _stats_of(target)
+    stats = target.stats
     if stats is not None and outcome.stats is not None:
         problems += diff_dicts("stats", stats.as_dict(), outcome.stats.as_dict())
     elif (stats is None) != (outcome.stats is None):
         problems.append(
             f"stats presence: executed {stats!r} != replayed {outcome.stats!r}"
         )
-    problems += diff_counters(
-        _board_of(target).counters, outcome.board.counters
-    )
+    problems += diff_counters(target.board.counters, outcome.board.counters)
     return problems

@@ -2,9 +2,12 @@
 
 A trace's *identity* is everything that determines its event stream:
 the schema, the system kind, the full memory-plan configuration, the
-benchmark scale, the SHA-256 of the mini-C source, and -- for
-block-cache traces, whose stream is geometry-dependent -- the captured
-cache geometry. The identity digest names the file
+benchmark scale, the SHA-256 of the mini-C source, and the captured
+cache configuration where the system kind alone leaves it open: the
+geometry of a block-cache trace, whose stream is geometry-dependent,
+and the :class:`~repro.datacache.cache.DataCacheConfig` of a data-cache
+trace, which decides whether the trace replays at all (write-back
+does not). The identity digest names the file
 (``<label>-<system>-<plan>-<digest12>.trace``), so recapturing the same
 configuration overwrites the same file and a changed source or plan
 never collides with a stale trace. ``index.json`` summarises the store
@@ -25,9 +28,13 @@ def _source_sha256(source):
 
 
 def identity_from_parts(
-    system, plan_config, scale, source, cache_limit=None, slot_bytes=None
+    system, plan_config, scale, source, cache_limit=None, slot_bytes=None, datacache=None
 ):
-    """The canonical identity dict for a would-be trace."""
+    """The canonical identity dict for a would-be trace.
+
+    *datacache* is the captured data-cache configuration's ``as_dict``
+    form; only data-cache traces carry it.
+    """
     ident = {
         "schema": SCHEMA,
         "system": system,
@@ -37,6 +44,8 @@ def identity_from_parts(
     }
     if system == "block":
         ident["geometry"] = {"cache_limit": cache_limit, "slot_bytes": slot_bytes}
+    elif system == "datacache":
+        ident["datacache"] = datacache
     return ident
 
 
@@ -50,6 +59,7 @@ def identity_from_header(header):
         header["source"],
         cache_limit=config.get("cache_limit"),
         slot_bytes=config.get("slot_bytes"),
+        datacache=config,
     )
 
 
@@ -80,20 +90,10 @@ class TraceStore:
         self._index_add(document.header, path.name)
         return path
 
-    def find(
-        self, system, plan_config, scale, source, cache_limit=None, slot_bytes=None
-    ):
-        """Path of a stored trace with this identity, or ``None``."""
-        digest = identity_digest(
-            identity_from_parts(
-                system,
-                plan_config,
-                scale,
-                source,
-                cache_limit=cache_limit,
-                slot_bytes=slot_bytes,
-            )
-        )
+    def find(self, *parts, **knobs):
+        """Path of a stored trace with the identity
+        :func:`identity_from_parts` gives these arguments, or ``None``."""
+        digest = identity_digest(identity_from_parts(*parts, **knobs))
         suffix = f"-{digest[:12]}.trace"
         if not self.root.is_dir():
             return None

@@ -36,7 +36,7 @@ executed instruction stream:
   run replayable.
 
 Which knobs a trace's replay takes at all is the captured system's
-:mod:`repro.systems` spec ``options``: a knob its builder does not take
+:mod:`repro.systems` spec ``options``: a knob its stages do not take
 is refused (baseline and datacache take none, the block cache no
 policy or SwapRAM extension, SwapRAM no ``slot_bytes``).
 
@@ -46,6 +46,7 @@ runner) log the reasons and execute normally instead.
 """
 
 from repro import systems
+from repro.core.policy import POLICIES
 
 #: Every trace header ``system`` string: the registry's capture kinds.
 SYSTEMS = tuple(dict.fromkeys(spec.capture_kind for spec in systems.SPECS))
@@ -97,9 +98,9 @@ def check_request(
                 f"stream (baseline or datacache trace), not {system}"
             )
 
-    # A knob replays only where the captured system's builder takes it
-    # (the entries sharing a capture kind take the same knobs).
-    spec = next(spec for spec in systems.SPECS if spec.capture_kind == system)
+    # A knob replays only where the captured system takes it (the
+    # entries sharing a capture kind take the same knobs).
+    spec = systems.for_capture(system)
     for name, value in (
         ("policy", policy),
         ("cache_limit", cache_limit),
@@ -109,6 +110,8 @@ def check_request(
     ):
         if value is not None and name not in spec.options:
             reasons.append(f"{system} replay takes no {name}")
+    if policy is not None and policy not in POLICIES:
+        reasons.append(f"unknown policy {policy!r}")
 
     if system == "datacache" and config.get("mode") == "back":
         reasons.append(

@@ -259,9 +259,9 @@ def _load_config(args, parser):
         return _preset_config(args, parser)
     try:
         document = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as error:
+        return CampaignConfig.from_dict(document)
+    except (OSError, json.JSONDecodeError, ConfigError) as error:
         parser.error(f"--config: {error}")
-    return CampaignConfig.from_dict(document)
 
 
 def _resolve(args):

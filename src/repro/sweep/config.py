@@ -30,6 +30,10 @@ SCHEMA = "repro-sweep/1"
 KINDS = ("run", "difftest", "fault", "replay", "cache_size", "datacache", "probe")
 
 
+#: What a ``datacache`` unit runs for an axis its campaign leaves out.
+DATACACHE_DEFAULTS = {"mode": "back", "cleaning": "alru", "geometry": "16x2x16"}
+
+
 class ConfigError(ValueError):
     """A malformed campaign configuration."""
 
@@ -57,6 +61,23 @@ class CampaignConfig:
             raise ConfigError(f"params and matrix share keys: {sorted(overlap)}")
         if "kind" in self.params or "kind" in self.matrix:
             raise ConfigError("'kind' is implicit; do not set it in params/matrix")
+        if kind == "datacache":
+            self._check_datacache()
+
+    def _check_datacache(self):
+        """Refuse a mode, cleaning spec or geometry no cell could build."""
+        from repro.datacache.cache import DataCacheConfig
+
+        axes = [
+            self.matrix.get(axis, [self.params.get(axis, default)])
+            for axis, default in DATACACHE_DEFAULTS.items()
+        ]
+        for mode, cleaning, geometry in itertools.product(*axes):
+            try:
+                config = DataCacheConfig(mode=mode, cleaning=cleaning)
+                config.with_geometry(geometry).validated()
+            except ValueError as error:
+                raise ConfigError(str(error)) from None
 
     def as_dict(self):
         return {

@@ -19,6 +19,7 @@ import os
 import signal
 import time
 
+from repro.sweep.config import DATACACHE_DEFAULTS
 from repro.tracing.runtime import current_recorder
 from repro.tracing.span import NULL_SPAN
 
@@ -357,15 +358,10 @@ def _execute_datacache(spec):
     from repro.systems import RunSpec, run
 
     benchmark = spec["benchmark"]
-    mode = spec.get("mode", "back")
-    cleaning = spec.get("cleaning", "alru")
-    geometry = spec.get("geometry", "16x2x16")
-    payload = {
-        "benchmark": benchmark,
-        "mode": mode,
-        "cleaning": cleaning,
-        "geometry": geometry,
-    }
+    payload = {"benchmark": benchmark}
+    for axis, default in DATACACHE_DEFAULTS.items():
+        payload[axis] = spec.get(axis, default)
+    mode, cleaning, geometry = payload["mode"], payload["cleaning"], payload["geometry"]
     if mode == "through" and cleaning != "none":
         # Cleaning policies only act on dirty lines; write-through never
         # has any. Mark the corner skipped instead of re-measuring the

@@ -3,9 +3,10 @@
 Every result is a (benchmark, system) point, so every CLI, harness and
 runner answers "which system is this name?" here and nowhere else. A
 :class:`SystemSpec` holds what those callers need to know about one
-system: its canonical name and aliases, its builder, the ``system``
-string its replay traces carry (``capture_kind``), the knobs its
-builder takes, and its exact-sum invariants.
+system: its canonical name and aliases, its two build stages (``link``
+and ``attach``, see :mod:`repro.toolchain.build`), the ``system``
+string its replay traces carry (``capture_kind``), the knobs each
+stage takes, and its exact-sum invariants.
 
 ::
 
@@ -16,11 +17,12 @@ builder takes, and its exact-sum invariants.
     result = system.run()
     assert systems.spec("swapram").problems(system) == []
 
-Every builder returns a :class:`~repro.toolchain.build.System` (the
-baseline entry wraps its board), so callers read ``system.board``,
-``system.runtime`` and ``system.stats`` the same way for every entry.
-Adding a system is one :class:`SystemSpec` in :data:`SPECS` plus its
-builder.
+:func:`build` composes the stages into a
+:class:`~repro.toolchain.build.System` for every entry, so callers read
+``system.board``, ``system.runtime`` and ``system.stats`` the same way
+for every entry; the replay engine runs the same stages, so a system
+that builds also replays. Adding a system is one :class:`SystemSpec` in
+:data:`SPECS` plus its two stages.
 
 Every entry point then describes the point it runs as one frozen
 :class:`RunSpec` -- program, system, knobs, plan, clock and limits --
@@ -36,18 +38,18 @@ from pathlib import Path
 from typing import Callable
 
 from repro.bench import BENCHMARK_NAMES, get_benchmark
-from repro.blockcache.system import build_blockcache
+from repro.blockcache.system import attach_blockcache, link_blockcache
 from repro.core.policy import POLICIES
 from repro.core.thrash import ThrashGuard
-from repro.core.system import build_swapram
+from repro.core.system import attach_swapram, link_swapram
 from repro.datacache.cache import DataCacheConfig
-from repro.datacache.system import build_datacache
+from repro.datacache.system import attach_datacache
 from repro.difftest.invariants import check_blockcache_stats, check_swapram_system
 from repro.machine import PowerFailure, RunawayError, install_fused_counters
 from repro.toolchain import PLANS, FitError, compile_program
-from repro.toolchain.build import System, build_baseline
+from repro.toolchain.build import attach_baseline, build_system, link_baseline
 
-#: Every knob a builder may take; a spec's ``options`` is a subset.
+#: Every knob a stage may take; a spec's ``options`` is a subset.
 KNOBS = ("policy", "cache_limit", "thrash_guard", "prefetcher", "slot_bytes")
 
 
@@ -56,27 +58,30 @@ class SystemSpec:
     """Everything the callers need to know about one system."""
 
     name: str
-    aliases: tuple
-    #: ``(source, plan, frequency_mhz=24, **options) -> System``.
-    builder: Callable
+    #: ``(program, plan, **link_knobs) -> Artefacts``: a pure function.
+    link: Callable
+    #: ``(board, artefacts, **runtime_knobs) -> runtime``: constructs
+    #: the runtime on a loaded board and installs it (``None`` for none).
+    attach: Callable
     #: The ``system`` string of this system's RPRT trace headers.
     capture_kind: str
-    #: The knobs (from :data:`KNOBS`) the builder takes.
-    options: frozenset
     #: ``System -> list[str]``: exact-sum invariant violations of a
     #: finished run; empty means they hold.
     problems: Callable
+    aliases: tuple = ()
+    #: The knobs (from :data:`KNOBS`) the link stage takes.
+    link_options: frozenset = frozenset()
+    #: The knobs (from :data:`KNOBS`) the attach stage takes.
+    attach_options: frozenset = frozenset()
+
+    @property
+    def options(self):
+        """Every knob this system takes, at either stage."""
+        return self.link_options | self.attach_options
 
 
-def _build_baseline(source, plan, frequency_mhz=24, **board_kwargs):
-    board = build_baseline(source, plan, frequency_mhz, **board_kwargs)
-    return System(board=board, linked=board.linked)
-
-
-def _build_swapram(source, plan, frequency_mhz=24, policy="queue", **options):
-    return build_swapram(
-        source, plan, frequency_mhz, policy_class=POLICIES[policy], **options
-    )
+def _attach_swapram(board, artefacts, policy="queue", **knobs):
+    return attach_swapram(board, artefacts, POLICIES[policy], **knobs)
 
 
 def _no_problems(system):
@@ -92,44 +97,49 @@ def _datacache_problems(system):
 
 
 def _datacache(name, config, aliases=()):
-    """A data-cache entry: the same builder with one fixed configuration.
+    """A data-cache entry: the baseline link, one fixed configuration.
 
-    ``config=`` at build time overrides it (replay capture uses this).
+    ``config=`` at attach time overrides it (capture and replay use
+    this).
     """
     return SystemSpec(
         name=name,
-        aliases=aliases,
-        builder=partial(build_datacache, config=config),
+        link=link_baseline,
+        attach=partial(attach_datacache, config=config),
         capture_kind="datacache",
-        options=frozenset(),
         problems=_datacache_problems,
+        aliases=aliases,
     )
 
 
 SPECS = (
     SystemSpec(
         name="baseline",
-        aliases=(),
-        builder=_build_baseline,
+        link=link_baseline,
+        attach=attach_baseline,
         capture_kind="baseline",
-        options=frozenset(),
         problems=_no_problems,
     ),
     SystemSpec(
         name="swapram",
-        aliases=(),
-        builder=_build_swapram,
+        link=link_swapram,
+        attach=_attach_swapram,
         capture_kind="swapram",
-        options=frozenset({"policy", "cache_limit", "thrash_guard", "prefetcher"}),
         problems=check_swapram_system,
+        attach_options=frozenset(
+            {"policy", "cache_limit", "thrash_guard", "prefetcher"}
+        ),
     ),
     SystemSpec(
         name="blockcache",
-        aliases=("block",),
-        builder=build_blockcache,
+        link=link_blockcache,
+        attach=attach_blockcache,
         capture_kind="block",
-        options=frozenset({"cache_limit", "slot_bytes"}),
         problems=_blockcache_problems,
+        aliases=("block",),
+        # The pass sizes its tables for the cache, so the limit is both.
+        link_options=frozenset({"cache_limit", "slot_bytes"}),
+        attach_options=frozenset({"cache_limit"}),
     ),
     # The crash question for a data cache is a (mode, cleaning)
     # question, so each interesting corner is its own system.
@@ -159,11 +169,17 @@ def spec(name):
     return SYSTEMS[_CANONICAL[name]]
 
 
+def for_capture(kind):
+    """The first spec whose traces carry *kind*; the entries sharing a
+    capture kind share their stages and knobs."""
+    return next(entry for entry in SPECS if entry.capture_kind == kind)
+
+
 def checked_options(name, **options):
     """*options* minus ``None`` values, checked against *name*'s spec.
 
-    Raises ``ValueError`` naming the system and the knob for a knob its
-    builder does not take; keywords that are not knobs pass through.
+    Raises ``ValueError`` naming the system and the knob for a knob it
+    does not take; keywords that are not knobs pass through.
     """
     entry = spec(name)
     options = {key: value for key, value in options.items() if value is not None}
@@ -177,12 +193,25 @@ def build(name, source, plan, frequency_mhz=24, **options):
     """Build (without running) system *name* for *source* on *plan*.
 
     *options* are the spec's knobs; ``None`` values are dropped, so
-    callers can pass unset command-line flags straight through. Other
-    keywords -- board keywords such as ``counters``, a data-cache
-    ``config`` -- pass straight to the builder.
+    callers can pass unset command-line flags straight through. Each
+    knob goes to the stage that takes it, a data-cache ``config`` to
+    the attach stage, and every other keyword (``counters``) to the
+    board.
     """
+    entry = spec(name)
     options = checked_options(name, **options)
-    return spec(name).builder(source, plan, frequency_mhz=frequency_mhz, **options)
+
+    def stage(keys):
+        return {key: options[key] for key in keys if key in options}
+
+    return build_system(
+        source,
+        plan,
+        partial(entry.link, **stage(entry.link_options)),
+        partial(entry.attach, **stage(entry.attach_options | {"config"})),
+        frequency_mhz,
+        **{k: v for k, v in options.items() if k not in KNOBS and k != "config"},
+    )
 
 
 @dataclass(frozen=True)
@@ -263,6 +292,13 @@ class RunSpec:
             "thrash_guard": ThrashGuard() if self.thrash_guard else None,
             "slot_bytes": self.slot_bytes,
         }
+
+    @property
+    def datacache_config(self):
+        """The data-cache configuration this spec runs, or ``None``."""
+        if self.entry.capture_kind != "datacache":
+            return None
+        return self.datacache or self.entry.attach.keywords["config"]
 
     @property
     def memory_plan(self):

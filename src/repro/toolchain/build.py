@@ -1,15 +1,17 @@
 """High-level build steps shared by every system under test.
 
 ``compile_program`` turns mini-C source into assembly and appends the
-generated startup code; ``build_baseline`` links it for a memory plan
-and returns a ready-to-run :class:`~repro.machine.board.Board` factory.
-The SwapRAM, block-cache and data-cache builders
-(``repro.core.system`` / ``repro.blockcache.system`` /
-``repro.datacache.system``) reuse these pieces around their
-transformation passes and return a :class:`System`.
+generated startup code. Every system then builds in two stages: a pure
+**link** stage, ``(program, plan, **link_knobs) -> Artefacts``, and an
+**attach** stage, ``(board, artefacts, **runtime_knobs) -> runtime``,
+which constructs the runtime on a loaded board and installs it.
+:func:`build_system` composes them -- compile, link, load, attach --
+for every system; the replay engine links once per trace and runs
+:func:`load_board` and the attach stage per configuration.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.asm.parser import parse_asm
 from repro.machine.board import Board
@@ -33,8 +35,7 @@ _CRT0 = """
 class System:
     """A loaded board plus the cache runtime attached to it.
 
-    *runtime* is ``None`` for the baseline (see :mod:`repro.systems`,
-    whose baseline entry wraps its board); *meta* is the
+    *runtime* is ``None`` for the baseline; *meta* is the
     instrumentation pass's metadata, ``None`` where there is none.
     """
 
@@ -93,20 +94,67 @@ def compile_program(source):
     return BUILD_CACHE.get(source, _compile_uncached)
 
 
-def build_baseline(source_or_program, plan, frequency_mhz=24, **board_kwargs):
-    """Compile (if needed), link for *plan*, and return a loaded Board.
+class Artefacts(NamedTuple):
+    """What a link stage produces for the attach stage."""
 
-    This is the paper's baseline system: code runs from wherever the
-    plan puts it, with only the hardware FRAM read cache helping.
-    """
-    if isinstance(source_or_program, str):
-        program = compile_program(source_or_program)
-    else:
-        program = add_startup(source_or_program)
-    linked = link(program, plan)
+    linked: object
+    #: The instrumentation pass's metadata, ``None`` where there is none.
+    meta: object = None
+    #: The runtime cost model the instrumentation assumed, or ``None``.
+    cost_model: object = None
+
+
+def link_baseline(program, plan):
+    """The baseline link stage: *program* linked for *plan* as it is."""
+    return Artefacts(link(program, plan))
+
+
+def attach_baseline(board, artefacts):
+    """The baseline attach stage: no runtime."""
+    return None
+
+
+def load_board(linked, frequency_mhz=24, **board_kwargs):
+    """A board with *linked*'s memory map and image loaded."""
     board = Board(
         memory_map=linked.memory_map, frequency_mhz=frequency_mhz, **board_kwargs
     )
     board.load(linked.image)
     board.linked = linked
     return board
+
+
+def build_system(
+    source_or_program, plan, link_stage, attach_stage, frequency_mhz=24, **board_kwargs
+):
+    """Compile (if needed), link, load and attach: one :class:`System`.
+
+    The stages come with their knobs bound; *board_kwargs*
+    (``counters``) go to the board.
+    """
+    if isinstance(source_or_program, str):
+        program = compile_program(source_or_program)
+    else:
+        program = add_startup(source_or_program)
+    artefacts = link_stage(program, plan)
+    board = load_board(artefacts.linked, frequency_mhz, **board_kwargs)
+    runtime = attach_stage(board, artefacts)
+    return System(
+        board=board, runtime=runtime, linked=artefacts.linked, meta=artefacts.meta
+    )
+
+
+def build_baseline(source_or_program, plan, frequency_mhz=24, **board_kwargs):
+    """Compile (if needed), link for *plan*, and return a loaded Board.
+
+    This is the paper's baseline system: code runs from wherever the
+    plan puts it, with only the hardware FRAM read cache helping.
+    """
+    return build_system(
+        source_or_program,
+        plan,
+        link_baseline,
+        attach_baseline,
+        frequency_mhz,
+        **board_kwargs,
+    ).board

@@ -10,6 +10,7 @@ promise to consult a policy exactly once per ``interval`` accesses.
 """
 
 import io
+import json
 from dataclasses import dataclass
 
 import pytest
@@ -25,7 +26,7 @@ from repro.datacache.cache import DataCacheConfig, DataCacheModel
 from repro.datacache.cli import main as datacache_main
 from repro.datacache.system import build_datacache
 from repro.sweep import datacache_campaign
-from repro.sweep.config import ConfigError
+from repro.sweep.config import CampaignConfig, ConfigError
 from repro.systems import RunSpec
 from repro.toolchain import PLANS
 
@@ -157,6 +158,40 @@ def test_the_sweep_cli_refuses_a_bad_spec_without_running_a_cell(tmp_path):
     assert datacache_main(argv + ["--out", str(path)], out=out) == 2
     assert "interval must be an int >= 1" in out.getvalue()
     assert not path.exists()
+
+
+def test_a_hand_written_campaign_is_refused_before_any_unit_runs(tmp_path, capsys):
+    from repro.sweep.cli import main as sweep_main
+
+    config = tmp_path / "campaign.json"
+    config.write_text(
+        json.dumps(
+            {
+                "kind": "datacache",
+                "name": "bad-cleaning",
+                "params": {"mode": "back"},
+                "matrix": {"benchmark": ["crc"], "cleaning": ["alru:interval=0"]},
+            }
+        )
+    )
+    root = tmp_path / "sweeps"
+    with pytest.raises(SystemExit) as exit_info:
+        sweep_main(["run", "--config", str(config), "--root", str(root)])
+    assert exit_info.value.code == 2
+    assert "interval must be an int >= 1" in capsys.readouterr().err
+    assert not root.exists()
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        {"params": {"geometry": "16x2x7"}, "matrix": {"benchmark": ["crc"]}},
+        {"params": {}, "matrix": {"benchmark": ["crc"], "mode": ["sideways"]}},
+    ],
+)
+def test_every_datacache_campaign_checks_its_cells_at_construction(axes):
+    with pytest.raises(ConfigError):
+        CampaignConfig("datacache", "bad", **axes)
 
 
 # -- the runtime consults the policy once per interval ------------------------------

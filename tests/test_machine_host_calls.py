@@ -11,7 +11,9 @@ The data-cache systems get a budget of their own: a hit is one set scan
 in the model and a direct SRAM access in the runtime, so a data access
 served from the cache costs about what an uncached one does. Measured
 on crc under Python 3.11: 16.3 calls per instruction for baseline,
-13.7 for SwapRAM, 15.9 for datacache-wt and 15.0 for datacache-wb.
+13.7 for SwapRAM, 15.4 for datacache-wt and 14.6 for datacache-wb
+(15.9 and 15.0 while every access also fed the sequence detector,
+which no registry entry reads: their ``seq_cutoff_lines`` is 0).
 """
 
 import sys

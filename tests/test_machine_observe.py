@@ -10,13 +10,14 @@ from itertools import permutations
 
 import pytest
 
+from repro import systems
 from repro.core import build_swapram
 from repro.machine import install_fused_counters
 from repro.machine.observe import observe, unobserve
 from repro.machine.tracelog import TraceLog
 from repro.metrics import MetricsSession
 from repro.obs import TraceSession
-from repro.replay.capture import _Recorder, classify
+from repro.replay.capture import _Recorder
 from repro.toolchain import PLANS
 
 SOURCE = """
@@ -43,7 +44,10 @@ ENTRY_POINTS = {
 ATTACH = {
     "session": TraceSession.attach,
     "log": lambda system: TraceLog(system.board.bus, capacity=100_000).attach(),
-    "capture": lambda system: observe(system.board, _Recorder(*classify(system))),
+    "capture": lambda system: observe(
+        system.board,
+        _Recorder(systems.spec("swapram").capture_kind, system.board, system.runtime),
+    ),
     "metrics": MetricsSession.attach,
     "fuses": lambda system: install_fused_counters(system.board),
 }

@@ -93,6 +93,30 @@ def test_block_identity_includes_geometry():
     assert len({swapram_digest, capped, uncapped}) == 3
 
 
+def test_data_cache_captures_keep_one_trace_per_configuration(tmp_path):
+    from repro.replay.schema import TraceDocument
+
+    source_path = tmp_path / "prog.c"
+    source_path.write_text(TINY_SOURCE)
+    store = tmp_path / "traces"
+    for system in ("datacache-wt", "datacache-wb", "datacache-acp"):
+        status, _ = _cli(
+            ["replay", "capture", str(source_path), "--system", system]
+            + ["--store", str(store)]
+        )
+        assert status == 0
+    traces = sorted(store.glob("*.trace"))
+    assert len(traces) == 3
+    assert len(TraceStore(store).read_index()) == 3
+    configs = {
+        (config["mode"], config["cleaning"])
+        for config in (
+            TraceDocument.load(path).header["capture_config"] for path in traces
+        )
+    }
+    assert configs == {("through", "none"), ("back", "alru"), ("back", "acp")}
+
+
 # -- ExperimentRunner(engine="replay") ---------------------------------------------
 
 

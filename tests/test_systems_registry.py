@@ -10,6 +10,8 @@ from repro.blockcache import build_blockcache
 from repro.core import build_swapram
 from repro.datacache import DataCacheConfig, build_datacache
 from repro.metrics import snapshot_run
+from repro.replay import ReplayEngine
+from repro.replay.capture import capture
 from repro.replay.validity import check_request
 from repro.toolchain import PLANS, build_baseline
 
@@ -165,3 +167,68 @@ def test_validity_refuses_exactly_the_tabled_pairs(kind, knob):
         assert reasons and knob in reasons[0]
     else:
         assert reasons == []
+
+
+# -- replay constructs through the same stages -----------------------------------
+
+#: Every configuration replay accepts as captured: ``(system, knobs)``.
+REPLAYED = [
+    ("baseline", {}),
+    ("swapram", {}),
+    ("swapram", {"policy": "stack", "cache_limit": 0xC0}),
+    ("blockcache", {}),
+    ("blockcache", {"cache_limit": 256}),
+    ("datacache-wt", {}),
+]
+
+#: Per capture kind, what a runtime is built from.
+CONSTRUCTION = {
+    "baseline": lambda runtime: runtime,
+    "swapram": lambda runtime: (
+        runtime.policy.name,
+        runtime.policy.base,
+        runtime.policy.size,
+    ),
+    "block": lambda runtime: (
+        runtime.cache_base,
+        runtime.slot_bytes,
+        runtime.num_slots,
+    ),
+    "datacache": lambda runtime: (
+        runtime.window,
+        runtime.model.base,
+        runtime.handler_base,
+        runtime.config,
+    ),
+}
+
+
+def test_construction_table_covers_every_capture_kind():
+    assert set(CONSTRUCTION) == {spec.capture_kind for spec in systems.SPECS}
+
+
+@pytest.mark.parametrize(
+    "name, knobs", REPLAYED, ids=[f"{name}{knobs}" for name, knobs in REPLAYED]
+)
+def test_replay_constructs_the_runtime_execution_constructs(name, knobs, monkeypatch):
+    spec = systems.RunSpec(SOURCE, name, **knobs)
+    executed = spec.build()
+    document, _, _ = capture(spec)
+    attached = []
+
+    def spied(entry):
+        def attach(board, artefacts, **runtime_knobs):
+            runtime = entry.attach(board, artefacts, **runtime_knobs)
+            attached.append((bytes(board.memory.data), runtime))
+            return runtime
+
+        return dataclasses.replace(entry, attach=attach)
+
+    monkeypatch.setattr(systems, "SPECS", tuple(map(spied, systems.SPECS)))
+    outcome = ReplayEngine(document).replay()
+    assert outcome.result.debug_words == EXPECTED
+    [(memory, runtime)] = attached
+    assert runtime is outcome.runtime
+    construction = CONSTRUCTION[spec.entry.capture_kind]
+    assert construction(runtime) == construction(executed.runtime)
+    assert memory == bytes(executed.board.memory.data)
