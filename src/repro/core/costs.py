@@ -15,7 +15,8 @@ paper's reported range (972-1844 bytes, average 1378 -- §5.2).
 
 from dataclasses import dataclass
 
-from repro.machine.trace import Attribution
+from repro.machine.memory import RegionKind
+from repro.machine.trace import REGIONS, Attribution
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,7 @@ class CostCharger:
         self.area_words = max(area_bytes // 2, 1)
         self.cycles_per_instruction = cycles_per_instruction
         self._cursor = 0
+        self._kind = self._uniform_kind()
 
     def begin_invocation(self):
         """Restart at the area base: each handler invocation re-executes
@@ -96,13 +98,26 @@ class CostCharger:
     def charge(self, instructions, attribution=Attribution.RUNTIME):
         """Charge *instructions* modelled instructions (fetches + cycles).
 
-        Each one goes through the bus's instance seams, in the CPU's
-        order: ``begin_instruction``, ``account_fetch`` under
-        *attribution*, then ``record_instruction``. The attribution is
-        swapped by hand rather than with :meth:`Bus.attributed`, whose
-        generator is most of a charged instruction's host cost.
+        Each one is fetched from the area in the CPU's order:
+        ``begin_instruction``, ``account_fetch`` under *attribution*,
+        then ``record_instruction``. While nothing watches those seams
+        -- the counters tally on the bus and no subscriber is attached
+        -- :meth:`_charge_batched` adds the same tallies at once;
+        otherwise each instruction goes through the bus's instance
+        seams. The attribution is swapped by hand rather than with
+        :meth:`Bus.attributed`, whose generator is most of a charged
+        instruction's host cost.
         """
         bus = self.bus
+        board = bus.board
+        if (
+            bus.counters.bus_tallies
+            and (board is None or not board.observers)
+            and self._kind is not None
+            and bus.fram_cache.line_bytes >= 2
+        ):
+            self._charge_batched(instructions, attribution)
+            return
         begin = bus.begin_instruction
         account = bus.account_fetch
         record = bus.counters.record_instruction
@@ -125,3 +140,85 @@ class CostCharger:
         finally:
             bus.attribution = previous
             self._cursor = cursor
+
+    def _uniform_kind(self):
+        """The region kind of every word a charge can fetch (the area and
+        the word a 2-word instruction at its end reads past it), or
+        ``None`` if they differ."""
+        end = self.area_base + 2 * self.area_words + 2
+        if end > 0x10000:
+            return None
+        kinds = self.bus.memory_map._kinds
+        kind = kinds[self.area_base]
+        if any(kinds[address] is not kind for address in range(self.area_base, end)):
+            return None
+        return kind
+
+    def _charge_batched(self, instructions, attribution):
+        """The loop of :meth:`charge`, with its tallies summed.
+
+        Instruction *i* of the call fetches ``1 + (i & 1)`` words from
+        ``area_base + 2 * (cursor % area_words)`` onwards, so the words
+        are consecutive until an instruction starts back at the area's
+        head; an instruction never wraps inside itself. Within such a
+        run, a word on the line the previous word touched is a hit that
+        changes no LRU order, so the FRAM read cache is looked up once
+        per line. ``bus._fram_touches`` ends at the last instruction's
+        word count, as the loop leaves it: a data cache charges in the
+        middle of an application instruction, whose later FRAM accesses
+        contend with it.
+        """
+        if instructions <= 0:
+            return
+        bus = self.bus
+        counters = bus.counters
+        kind = self._kind
+        slot = attribution.slot * REGIONS + kind.slot
+        two_word = instructions // 2
+        total = instructions + two_word
+        counters.access_counts[slot] += total
+        counters.instruction_counts[slot] += instructions
+        counters.cycle_counts[attribution.slot] += (
+            instructions * self.cycles_per_instruction
+        )
+        cursor = self._cursor
+        self._cursor = cursor + total
+        last_words = 1 + ((instructions - 1) & 1)
+        if kind is not RegionKind.FRAM:
+            bus._fram_touches = 0
+            return
+        area_words = self.area_words
+        start = cursor % area_words
+        if start + total - last_words < area_words:
+            runs = ((start, total),)  # every instruction starts in the area
+        else:
+            runs = []  # (first word offset, words) of each consecutive run
+            length = 0
+            for index in range(instructions):
+                offset = (cursor + length) % area_words
+                if offset != start + length:
+                    runs.append((start, length))
+                    cursor += length
+                    start, length = offset, 0
+                length += 1 + (index & 1)
+            runs.append((start, length))
+
+        fram_cache = bus.fram_cache
+        access = fram_cache.access
+        line_bytes = fram_cache.line_bytes
+        wait = bus.wait_states
+        stall = bus.contention_penalty * two_word
+        lookups = 0
+        for start, length in runs:
+            first = self.area_base + 2 * start
+            tag = first // line_bytes
+            last = (first + 2 * length - 2) // line_bytes
+            lookups += last - tag + 1
+            if not access(first):
+                stall += wait
+            for tag in range(tag + 1, last + 1):
+                if not access(tag * line_bytes):
+                    stall += wait
+        fram_cache.hits += total - lookups
+        counters.stall_cycles += stall
+        bus._fram_touches = last_words

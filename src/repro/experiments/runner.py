@@ -249,6 +249,8 @@ class ExperimentRunner:
             record.dnf = True
             record.dnf_reason = f"watchdog: {error}"
             return record
+        except ReplayRefused as error:
+            return self._fall_back(key, str(error), *point)
         try:
             outcome = engine.replay(frequency_mhz=frequency_mhz)
         except (ReplayRefused, ReplayError, TraceError) as error:

@@ -1,0 +1,681 @@
+"""Block-compiled execution: the fast path of :meth:`Cpu.run`.
+
+:meth:`~repro.machine.cpu.Cpu.step` pays a hook lookup, a decode-cache
+lookup, a byte compare, a fetch-accounting call and an executor's
+operand plumbing for every guest instruction. :func:`run_blocks` runs
+the same instructions in *blocks*: straight-line code from an entry pc
+up to and including the next control transfer. A block stops early
+before a hook address, a change of memory region or a word it cannot
+fetch or decode, and after :data:`MAX_BLOCK` instructions; whatever no
+block covers runs through ``Cpu.step``.
+
+Each instruction of a block is one closure specialised to its *shape*
+-- mnemonic, byte flag, source and destination modes, fetch region --
+with its registers and constants bound in. The closure factories
+(templates) are generated from the snippets below once per process, one
+per shape on first use; a closure is built per instruction address and
+shared by every block that covers it. Instructions no template covers
+(DADD, RETI, CALL, operands that read the PC, unary operations on
+memory) run the step loop's own executor.
+
+What stays exact, and how:
+
+* Code bytes. A block snapshots its bytes and runs only while they
+  match memory. An instruction that may write memory (a memory
+  destination, PUSH, a step-loop executor, and any memory access while a
+  data cache is attached, since its fills and writebacks write) reports
+  it, and the block then stops if the halt port was written or its
+  bytes changed -- a store that rewrites a later instruction of the
+  running block.
+* Accesses, in order. SRAM data accesses are tallied inline; every
+  other access goes through ``bus.read``/``bus.write``. A FRAM-resident
+  instruction sets the FRAM touch count its fetch leaves and looks up
+  the FRAM read cache once per line, in order with its data accesses: a
+  line most recently used in its set is a hit with no LRU change, so
+  only a line that is not costs a call.
+* Tallies, at every exit. Fetch words, instruction and cycle counts,
+  fetch contention and the FRAM cache's fetch hits are summed per block
+  and added when it exits; an early exit or an exception adds the
+  prefix that ran and leaves the PC, ``pc_history`` and
+  ``instructions_retired`` where the step loop would have.
+* The instruction budget. A block is entered only if it cannot use up
+  the budget, so :class:`RunawayError` comes from the same retired
+  count as in the step loop.
+"""
+
+from functools import partial
+
+from repro.isa.cycles import instruction_cycles
+from repro.isa.encoding import EncodingError, decode_instruction
+from repro.isa.instructions import FORMAT_I_OPCODES, JUMP_CONDITIONS
+from repro.isa.operands import MEMORY_MODES, AddressingMode
+from repro.isa.registers import PC, SP
+from repro.machine.bus import BusError
+from repro.machine.cpu import _EXECUTORS, _JUMP_TAKEN, RunawayError, SimulationError
+from repro.machine.memory import RegionKind
+from repro.machine.trace import READ_BASE, WRITE_BASE, Attribution, instruction_slot
+
+#: Longest block, in instructions.
+MAX_BLOCK = 64
+
+_APP = Attribution.APP
+_SRAM = RegionKind.SRAM
+_FRAM = RegionKind.FRAM
+_READ_SRAM = READ_BASE + instruction_slot(_APP, _SRAM)
+_WRITE_SRAM = WRITE_BASE + instruction_slot(_APP, _SRAM)
+
+_MODES = {
+    AddressingMode.REGISTER: "reg",
+    AddressingMode.IMMEDIATE: "imm",
+    AddressingMode.INDEXED: "idx",
+    AddressingMode.SYMBOLIC: "abs",
+    AddressingMode.ABSOLUTE: "abs",
+    AddressingMode.INDIRECT: "ind",
+    AddressingMode.AUTOINC: "inc",
+}
+_UNARY = frozenset({"RRA", "RRC", "SWPB", "SXT"})
+
+# -- templates ------------------------------------------------------------------
+#
+# Template parameters, bound per instruction: ``regs``, ``bus``,
+# ``data``, ``kinds``, ``counts``, ``read``, ``write`` and ``miss`` from
+# the run environment; ``S``/``X``/``K``/``STEP`` (source register,
+# displacement or address, immediate, autoincrement step), ``D``/``Y``
+# (destination register, displacement or address), ``TARGET``/``NEXT``/
+# ``TAKEN`` (jumps), ``W`` and ``WAYS<i>``/``TAG<i>``/``ADDR<i>`` (a
+# FRAM fetch's words and lines), and ``cpu``/``ins``/``execute`` (the
+# step loop's executor). A closure keeps only the names its body uses.
+
+_PARAMETERS = (
+    "regs bus data kinds counts read write miss S X K STEP D Y TARGET NEXT TAKEN W "
+    "WAYS0 TAG0 ADDR0 WAYS1 TAG1 ADDR1 WAYS2 TAG2 ADDR2 cpu ins execute"
+).split()
+
+_TEMPLATES = {}
+
+
+def _load(value, address, byte):
+    """Read *address* into *value*: SRAM inline, anything else by the bus."""
+    if byte:
+        return [
+            f"if kinds[{address}] is SRAM:",
+            f"    counts[{_READ_SRAM}] += 1",
+            f"    {value} = data[{address}]",
+            "else:",
+            f"    {value} = read({address}, True)",
+        ]
+    return [
+        f"if kinds[{address}] is SRAM and not {address} & 1:",
+        f"    counts[{_READ_SRAM}] += 1",
+        f"    {value} = data[{address}] | (data[{address} + 1] << 8)",
+        "else:",
+        f"    {value} = read({address}, False)",
+    ]
+
+
+def _store(address, value, byte):
+    """Write *value* to *address*: SRAM inline, anything else by the bus."""
+    if byte:
+        return [
+            f"if kinds[{address}] is SRAM:",
+            f"    counts[{_WRITE_SRAM}] += 1",
+            f"    data[{address}] = {value}",
+            "else:",
+            f"    write({address}, {value}, True)",
+        ]
+    return [
+        f"if kinds[{address}] is SRAM and not {address} & 1:",
+        f"    counts[{_WRITE_SRAM}] += 1",
+        f"    data[{address}] = {value} & 0xFF",
+        f"    data[{address} + 1] = {value} >> 8",
+        "else:",
+        f"    write({address}, {value}, False)",
+    ]
+
+
+def _write_register(value):
+    return [f"regs[D] = {value}"]
+
+
+def _source(mode, byte):
+    """Evaluate the source operand into ``s``, as ``Cpu._read_source``."""
+    if mode == "reg":
+        return [f"s = regs[S] & {0xFF if byte else 0xFFFF:#x}"]
+    if mode == "imm":
+        return ["s = K"]
+    address = {
+        "idx": "(regs[S] + X) & 0xFFFF",
+        "abs": "X",
+        "ind": "regs[S] & 0xFFFF",
+        "inc": "regs[S] & 0xFFFF",
+    }[mode]
+    lines = [f"a = {address}", *_load("s", "a", byte)]
+    if mode == "inc":
+        lines.append("regs[S] = (regs[S] + STEP) & 0xFFFF")
+    return lines
+
+
+def _flags(msb, carry, overflow=None):
+    """``Cpu._set_flags`` with N and Z from ``r``."""
+    parts = [
+        "(regs[2] & 0xFEF8)",
+        f"(4 if r & {msb:#x} else 0)",
+        "(2 if r == 0 else 0)",
+        f"(1 if {carry} else 0)",
+    ]
+    if overflow is not None:
+        parts.append(f"(0x100 if {overflow} else 0)")
+    return ["regs[2] = " + " | ".join(parts)]
+
+
+def _binary(name, byte, src, dst):
+    """A Format I instruction, in the step loop's order of effects."""
+    mask, msb = (0xFF, 0x80) if byte else (0xFFFF, 0x8000)
+    lines = ["c = regs[2] & 1"] if name in ("ADDC", "SUBC") else []
+    lines += _source(src, byte)
+    if dst == "reg":
+        read_dest = [f"d = regs[D] & {mask:#x}"]
+        write = _write_register
+    else:
+        lines.append("b = (regs[D] + Y) & 0xFFFF" if dst == "idx" else "b = Y")
+        read_dest = _load("d", "b", byte)
+        write = partial(_store, "b", byte=byte)
+    if name == "MOV":
+        return lines + write("s")
+    lines += read_dest
+    if name in ("ADD", "ADDC"):
+        lines.append("t = s + d + c" if name == "ADDC" else "t = s + d")
+        lines.append(f"r = t & {mask:#x}")
+        lines += _flags(msb, f"t > {mask:#x}", f"~(s ^ d) & (s ^ r) & {msb:#x}")
+        return lines + write("r")
+    if name in ("SUB", "SUBC", "CMP"):
+        carry = "c" if name == "SUBC" else "1"
+        lines.append(f"t = d + ((~s) & {mask:#x}) + {carry}")
+        lines.append(f"r = t & {mask:#x}")
+        lines += _flags(msb, f"t > {mask:#x}", f"(d ^ s) & (d ^ r) & {msb:#x}")
+        return lines if name == "CMP" else lines + write("r")
+    if name in ("AND", "BIT"):
+        lines += ["r = s & d", *_flags(msb, "r")]
+        return lines if name == "BIT" else lines + write("r")
+    if name == "BIC":
+        return lines + [f"r = d & ~s & {mask:#x}", *write("r")]
+    if name == "BIS":
+        return lines + ["r = d | s", *write("r")]
+    # XOR writes its destination first and then sets the flags.
+    return lines + ["r = s ^ d", *write("r"), *_flags(msb, "r", f"s & d & {msb:#x}")]
+
+
+def _unary(name, byte):
+    """RRA, RRC, SWPB or SXT on a register other than the PC."""
+    mask, msb = (0xFF, 0x80) if byte else (0xFFFF, 0x8000)
+    lines = [f"v = regs[S] & {mask:#x}"]
+    if name == "SWPB":
+        return lines + ["regs[S] = ((v & 0xFF) << 8) | ((v >> 8) & 0xFF)"]
+    if name == "RRA":
+        lines += [f"r = (v >> 1) | (v & {msb:#x})", *_flags(msb, "v & 1")]
+    elif name == "RRC":
+        lines += [f"r = (v >> 1) | ({msb:#x} if regs[2] & 1 else 0)"]
+        lines += _flags(msb, "v & 1")
+    else:  # SXT
+        lines += ["r = (v & 0xFF) | (0xFF00 if v & 0x80 else 0)", *_flags(0x8000, "r")]
+    return lines + ["regs[S] = r"]
+
+
+def _body(kind, name, byte, src, dst):
+    if kind == "binary":
+        return _binary(name, byte, src, dst)
+    if kind == "unary":
+        return _unary(name, byte)
+    if kind == "push":
+        lines = _source(src, byte) + ["b = (regs[1] - 2) & 0xFFFF", "regs[1] = b"]
+        return lines + _store("b", "s", False)
+    if kind == "jump":
+        if name == "JMP":
+            return ["regs[0] = TARGET"]
+        return [
+            "sr = regs[2]",
+            "regs[0] = TARGET if TAKEN[(sr & 7) | ((sr >> 5) & 8)] else NEXT",
+        ]
+    return ["regs[0] = NEXT", "execute(cpu, ins)"]
+
+
+def _prologue(fetch):
+    """The fetch's effect on the FRAM touch count and read cache.
+
+    *fetch* is ``None`` (SRAM, no data access), ``0`` (SRAM) or the
+    number of FRAM lines the instruction's words span.
+    """
+    if fetch is None:
+        return []
+    if fetch == 0:
+        return ["bus._fram_touches = 0"]
+    lines = ["bus._fram_touches = W"]
+    for line in range(fetch):
+        lines += [
+            f"if not WAYS{line} or WAYS{line}[-1] != TAG{line}:",
+            f"    miss(ADDR{line})",
+        ]
+    return lines
+
+
+def _template(shape):
+    """The closure factory for *shape*, generated on first use."""
+    factory = _TEMPLATES.get(shape)
+    if factory is None:
+        kind, name, byte, src, dst, fetch, check = shape
+        body = _prologue(fetch) + _body(kind, name, byte, src, dst)
+        if check:
+            body.append("return True")
+        source = "\n".join(
+            [
+                f"def make({', '.join(p + '=None' for p in _PARAMETERS)}):",
+                "    def op():",
+                *("        " + line for line in body),
+                "    return op",
+            ]
+        )
+        namespace = {"SRAM": _SRAM}
+        exec(compile(source, f"<block template {shape}>", "exec"), namespace)
+        factory = _TEMPLATES[shape] = namespace["make"]
+    return factory
+
+
+# -- one instruction ---------------------------------------------------------------
+
+
+class _Entry:
+    """One compiled instruction, shared by every block that covers it."""
+
+    __slots__ = ("op", "instruction", "length", "cycles", "memory")
+
+    def __init__(self, op, instruction, length, memory):
+        self.op = op
+        self.instruction = instruction
+        self.length = length
+        self.cycles = instruction_cycles(instruction)
+        self.memory = memory
+
+
+def _reads_pc(instruction):
+    """Whether an operand reads the PC register, which a block leaves stale."""
+    src, dst = instruction.src, instruction.dst
+    if src is not None and src.register == PC:
+        if src.mode is AddressingMode.REGISTER or src.mode is AddressingMode.INDIRECT:
+            return True
+    return (
+        dst is not None
+        and dst.mode is AddressingMode.REGISTER
+        and dst.register == PC
+        and instruction.mnemonic != "MOV"
+    )
+
+
+def _kind(instruction):
+    """The template family of *instruction*; ``"generic"`` if none fits."""
+    name = instruction.mnemonic
+    if name in JUMP_CONDITIONS:
+        return "jump"
+    if _reads_pc(instruction):
+        return "generic"
+    if name in FORMAT_I_OPCODES:
+        return "generic" if name == "DADD" else "binary"
+    if name in _UNARY:
+        register = instruction.src.mode is AddressingMode.REGISTER
+        return "unary" if register else "generic"
+    return "push" if name == "PUSH" else "generic"
+
+
+def _compile(env, pc, instruction, length, kind):
+    """The closure for *instruction* at *pc*; returns ``(op, memory)``,
+    *memory* telling whether the instruction may access data memory."""
+    shape_kind = _kind(instruction)
+    name = instruction.mnemonic
+    src, dst = instruction.src, instruction.dst
+    byte = instruction.byte
+    source = _MODES[src.mode] if src is not None else None
+    dest = _MODES[dst.mode] if dst is not None else None
+    values = {"NEXT": (pc + length) & 0xFFFF}
+    if shape_kind == "jump":
+        memory = writes = False
+        values.update(TARGET=instruction.target & 0xFFFF, TAKEN=_JUMP_TAKEN[name])
+        # The condition is bound in (TAKEN): conditional jumps share one.
+        name = "JMP" if name == "JMP" else "J"
+    elif shape_kind == "generic":
+        memory = writes = True
+        values.update(cpu=env.cpu, ins=instruction, execute=_EXECUTORS[name])
+        name = byte = source = dest = None
+    elif shape_kind == "unary":
+        memory = writes = False
+        values["S"] = src.register
+        source = None
+    else:  # binary or push
+        mask = 0xFF if byte else 0xFFFF
+        values.update(
+            S=src.register,
+            X=src.value & 0xFFFF if source in ("idx", "abs") else None,
+            K=src.value & 0xFFFF & mask if source == "imm" else None,
+            STEP=2 if not byte or src.register in (PC, SP) else 1,
+        )
+        if shape_kind == "push":
+            memory = writes = True
+        else:
+            values.update(
+                D=dst.register,
+                Y=dst.value & 0xFFFF if dest in ("idx", "abs") else None,
+            )
+            memory = src.mode in MEMORY_MODES or dst.mode in MEMORY_MODES
+            writes = dst.mode in MEMORY_MODES and name not in ("CMP", "BIT")
+    fetch = env.fetch(values, pc, length, kind, memory)
+    check = writes or (memory and env.data_cache)
+    shape = (shape_kind, name, byte, source, dest, fetch, check)
+    return _template(shape)(**env.bound, **values), memory
+
+
+# -- the run environment --------------------------------------------------------------
+
+
+class _Environment:
+    """What a CPU's closures bind, valid while :func:`_context` is
+    unchanged."""
+
+    def __init__(self, cpu, key):
+        bus = cpu.bus
+        self.key = key
+        self.cpu = cpu
+        self.counters = counters = bus.counters
+        self.fram_cache = fram_cache = bus.fram_cache
+        self.data_cache = bus.data_cache is not None
+        self.penalty = bus.contention_penalty
+        access = fram_cache.access
+        wait = bus.wait_states
+
+        def miss(address):
+            # The block added this word as a hit; access() recounts it.
+            fram_cache.hits -= 1
+            if not access(address):
+                counters.stall_cycles += wait
+
+        self.bound = {
+            "regs": cpu.regs,
+            "bus": bus,
+            "data": bus.memory.data,
+            "kinds": bus._kinds,
+            "counts": counters.access_counts,
+            "read": bus.read,
+            "write": bus.write,
+            "miss": miss,
+        }
+
+    def fetch(self, values, pc, length, kind, memory):
+        """The fetch prologue of an instruction (see :func:`_prologue`)."""
+        if kind is not _FRAM:
+            return 0 if memory else None
+        fram_cache = self.fram_cache
+        lines = fram_cache._lines
+        tags = []
+        for address in range(pc, pc + length, 2):
+            tag = address // fram_cache.line_bytes
+            if not tags or tags[-1][0] != tag:
+                tags.append((tag, address))
+        values["W"] = length >> 1
+        for index, (tag, address) in enumerate(tags):
+            values[f"WAYS{index}"] = lines[tag % fram_cache.sets]
+            values[f"TAG{index}"] = tag
+            values[f"ADDR{index}"] = address
+        return len(tags)
+
+
+def _context(cpu):
+    """What the closures of *cpu* depend on beyond its memory bytes."""
+    bus = cpu.bus
+    return (
+        id(bus.counters),
+        id(bus.fram_cache),
+        bus.data_cache is None,
+        bus.wait_states,
+        bus.contention_penalty,
+        frozenset(cpu.hooks),
+    )
+
+
+def _environment(cpu):
+    """The CPU's environment, rebuilt (dropping every block) on a change."""
+    key = _context(cpu)
+    env = cpu._block_env
+    if env is None or env.key != key:
+        cpu._blocks.clear()
+        cpu._entries.clear()
+        env = cpu._block_env = _Environment(cpu, key)
+    return env
+
+
+# -- blocks --------------------------------------------------------------------------
+
+
+class _Block:
+    """Straight-line code from ``start`` to ``end`` and its fixed tallies."""
+
+    __slots__ = (
+        "start",
+        "end",
+        "snapshot",
+        "ops",
+        "count",
+        "entries",
+        "pcs",
+        "slot",
+        "words",
+        "cycles",
+        "stall",
+        "hits",
+        "transfer",
+        "clears",
+        "tail",
+    )
+
+
+#: Instruction length in bytes by opcode word (0: illegal); the length
+#: depends on the opcode word alone.
+_LENGTHS = {}
+
+
+def _length(opcode):
+    length = _LENGTHS.get(opcode)
+    if length is None:
+        try:
+            _, length = decode_instruction(lambda address: opcode, 0)
+        except EncodingError:
+            length = 0
+        _LENGTHS[opcode] = length
+    return length
+
+
+def _entry(env, data, kinds, pc, kind):
+    """The compiled instruction at *pc*, or ``None`` if a block must stop.
+
+    Entries are kept by address and bytes, so code that comes back to
+    an address -- a function recopied into its old cache slot, a block
+    chained and unchained -- is compiled once.
+    """
+    length = _length(data[pc] | (data[pc + 1] << 8))
+    end = pc + length
+    if not length or end > 0x10000:
+        return None
+    key = (pc, bytes(data[pc:end]))
+    entry = env.cpu._entries.get(key)
+    if entry is None:
+        if any(kinds[address] is not kind for address in range(pc, end)):
+            return None
+        instruction, _ = decode_instruction(env.cpu.bus.memory.read_word, pc)
+        op, memory = _compile(env, pc, instruction, length, kind)
+        entry = env.cpu._entries[key] = _Entry(op, instruction, length, memory)
+    return entry
+
+
+def _build(cpu, env, start):
+    """Compile the block entered at *start*, or ``None`` if none can be."""
+    bus = cpu.bus
+    kinds = bus._kinds
+    data = bus.memory.data
+    kind = kinds[start]
+    if start & 1 or (kind is not _SRAM and kind is not _FRAM):
+        return None
+    hooks = cpu.hooks
+    entries = []
+    pcs = []
+    pc = start
+    while len(entries) < MAX_BLOCK and pc < 0x10000:
+        if (pc != start and pc in hooks) or kinds[pc] is not kind:
+            break
+        entry = _entry(env, data, kinds, pc, kind)
+        if entry is None:
+            break
+        entries.append(entry)
+        pcs.append(pc)
+        pc += entry.length
+        if entry.instruction.writes_pc():
+            break
+    if not entries:
+        return None
+    block = _Block()
+    block.start = start
+    block.end = pc
+    block.snapshot = bytes(data[start:pc])
+    block.ops = tuple(entry.op for entry in entries)
+    block.count = len(entries)
+    block.entries = tuple(entries)
+    block.pcs = tuple(pcs)
+    block.slot = instruction_slot(_APP, kind)
+    block.words = (pc - start) >> 1
+    block.cycles = sum(entry.cycles for entry in entries)
+    block.transfer = entries[-1].instruction.writes_pc()
+    if kind is _FRAM:
+        block.stall = env.penalty * (block.words - block.count)
+        block.hits = block.words
+        block.clears = False
+    else:
+        block.stall = block.hits = 0
+        block.clears = not entries[-1].memory
+    block.tail = tuple(reversed(pcs[-3:])) if len(pcs) >= 3 else None
+    cpu._blocks[start] = block
+    return block
+
+
+def _retire(cpu, block, fetched, retired):
+    """Add the tallies of a block prefix: *fetched* instructions fetched,
+    the first *retired* of them retired. Returns the PC after the last
+    fetched one."""
+    bus = cpu.bus
+    counters = bus.counters
+    entries = block.entries
+    words = sum(entry.length for entry in entries[:fetched]) >> 1
+    counters.access_counts[block.slot] += words
+    counters.instruction_counts[block.slot] += retired
+    counters.cycle_counts[_APP.slot] += sum(e.cycles for e in entries[:retired])
+    if block.hits:
+        counters.stall_cycles += bus.contention_penalty * (words - fetched)
+        bus.fram_cache.hits += words
+    cpu.instructions_retired += retired
+    history = cpu.pc_history
+    recent = list(reversed(block.pcs[max(fetched - 3, 0) : fetched]))
+    history[:] = (recent + history)[:3]
+    return (block.start + 2 * words) & 0xFFFF
+
+
+def _fault(cpu, block, index, error):
+    """Leave the state a fault at instruction *index* leaves; re-raise."""
+    cpu.regs[PC] = _retire(cpu, block, index + 1, index)
+    if isinstance(error, BusError):
+        pc = block.pcs[index]
+        instruction = block.entries[index].instruction
+        raise SimulationError(f"at PC={pc:#06x} ({instruction}): {error}") from error
+    raise error
+
+
+# -- the run loop ---------------------------------------------------------------------
+
+
+def run_blocks(cpu, max_instructions):
+    """Run *cpu* to the halt port through blocks, as ``Cpu.run`` would.
+
+    The caller has checked that nothing watches single instructions:
+    the counters tally on the bus and no seam subscriber is attached.
+    A halted machine runs again only after a reset or a restore, so the
+    blocks are dropped at the halt rather than kept until the board is
+    collected.
+    """
+    _run(cpu, max_instructions)
+    cpu._blocks.clear()
+    cpu._entries.clear()
+
+
+def _run(cpu, max_instructions):
+    bus = cpu.bus
+    env = _environment(cpu)
+    blocks = cpu._blocks
+    hooks = cpu.hooks
+    regs = cpu.regs
+    data = bus.memory.data
+    counters = bus.counters
+    access_counts = counters.access_counts
+    instruction_counts = counters.instruction_counts
+    cycle_counts = counters.cycle_counts
+    app = _APP.slot
+    history = cpu.pc_history
+    step = cpu.step
+    remaining = max_instructions
+    while not bus.halted:
+        pc = regs[PC]
+        hook = hooks.get(pc)
+        block = None
+        if hook is None:
+            block = blocks.get(pc)
+            if block is None or data[block.start : block.end] != block.snapshot:
+                block = _build(cpu, env, pc)
+        if block is None or block.count >= remaining or bus.attribution is not _APP:
+            # A hook, an instruction no block covers, or a block that
+            # could use up the budget: one step.
+            if hook is not None:
+                hook(cpu)
+            elif not step():
+                return
+            if bus.halted:
+                return
+            remaining -= 1
+            if remaining <= 0:
+                raise RunawayError(
+                    f"program did not halt within {max_instructions} instructions"
+                )
+            continue
+
+        start, end, snapshot = block.start, block.end, block.snapshot
+        index = 0
+        try:
+            for index, op in enumerate(block.ops):
+                if op() and (bus.halted or data[start:end] != snapshot):
+                    break
+        except BaseException as error:
+            _fault(cpu, block, index, error)
+        count = index + 1
+        if count < block.count:
+            regs[PC] = _retire(cpu, block, count, count)
+        else:
+            slot = block.slot
+            access_counts[slot] += block.words
+            instruction_counts[slot] += count
+            cycle_counts[app] += block.cycles
+            if block.hits:
+                counters.stall_cycles += block.stall
+                env.fram_cache.hits += block.hits
+            cpu.instructions_retired += count
+            if not block.transfer:
+                regs[PC] = end & 0xFFFF
+            if block.clears:
+                bus._fram_touches = 0
+            tail = block.tail
+            if tail is not None:
+                history[0], history[1], history[2] = tail
+            else:
+                recent = list(reversed(block.pcs))
+                history[:] = (recent + history)[:3]
+        remaining -= count

@@ -91,6 +91,12 @@ class Cpu:
         #: stub (for block chaining) without any architectural support.
         self.pc_history = [0, 0, 0]
         self._decode_cache = {}
+        # The block path's caches (see repro.machine.block): blocks by
+        # entry pc, compiled instructions by (pc, bytes), and what the
+        # compiled closures bind.
+        self._blocks = {}
+        self._entries = {}
+        self._block_env = None
 
     # -- status flags ----------------------------------------------------------
 
@@ -217,7 +223,20 @@ class Cpu:
         return execute, instruction, length, cycles
 
     def run(self, max_instructions=50_000_000):
-        """Run until the program halts; guard against runaways."""
+        """Run until the program halts; guard against runaways.
+
+        While nothing watches single instructions -- the counters tally
+        on the bus (no fuse or watchdog is armed) and no seam subscriber
+        is attached -- the run takes the block path
+        (:mod:`repro.machine.block`). Otherwise it is the step loop
+        below, the reference the block path is tested against.
+        """
+        board = self.bus.board
+        if self.bus.counters.bus_tallies and (board is None or not board.observers):
+            from repro.machine.block import run_blocks
+
+            run_blocks(self, max_instructions)
+            return self
         remaining = max_instructions
         step = self.step
         while step():
@@ -231,8 +250,9 @@ class Cpu:
     # -- checkpointing and power cycling (fault injection) --------------------
 
     def snapshot(self):
-        """Architectural state only; the decode cache is a memoisation
-        validated against memory bytes, so it never needs capturing."""
+        """Architectural state only; the decode cache and the blocks are
+        memoisations validated against memory bytes, so they never need
+        capturing."""
         return {
             "regs": list(self.regs),
             "pc_history": list(self.pc_history),
@@ -249,15 +269,18 @@ class Cpu:
         """Power-on reset: registers cleared, PC at the entry vector.
 
         ``instructions_retired`` deliberately survives (it is host-side
-        accounting, like the access counters); the decode cache is
-        dropped so a rebooted machine decodes cold, exactly as accounted
-        (the cached and uncached fetch paths charge identically).
+        accounting, like the access counters); the decode cache and the
+        block path's caches are dropped so a rebooted machine decodes
+        cold, exactly as accounted (the cached and uncached fetch paths
+        charge identically).
         """
         for index in range(16):
             self.regs[index] = 0
         self.regs[PC] = entry & 0xFFFF
         self.pc_history[:] = [0, 0, 0]
         self._decode_cache.clear()
+        self._blocks.clear()
+        self._entries.clear()
         return self
 
     # -- instruction semantics ----------------------------------------------------

@@ -28,7 +28,9 @@ class FramReadCache:
         #: uncached address costs nothing here, so it is not counted. A
         #: full invalidation counts every line that was live.
         self.invalidates = 0
-        # Per set: list of tags, most-recently-used last.
+        # Per set: list of tags, most-recently-used last. The lists are
+        # only ever mutated in place, so a holder of one (the block
+        # path's fetch closures) stays current.
         self._lines = [[] for _ in range(sets)]
 
     @property
@@ -59,7 +61,8 @@ class FramReadCache:
         """Drop one line (or everything) -- used on FRAM writes."""
         if address is None:
             self.invalidates += sum(len(ways) for ways in self._lines)
-            self._lines = [[] for _ in range(self.sets)]
+            for ways in self._lines:
+                ways.clear()
             return
         index, tag = self._locate(address)
         ways = self._lines[index]
@@ -86,7 +89,8 @@ class FramReadCache:
         self.hits = hits
         self.misses = misses
         self.invalidates = invalidates
-        self._lines = [list(ways) for ways in lines]
+        for ways, saved in zip(self._lines, lines):
+            ways[:] = saved
         return self
 
     @property

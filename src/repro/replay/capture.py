@@ -207,13 +207,20 @@ def capture(spec, benchmark=None):
     the spec's source, so a replay engine can rebuild the system
     without any out-of-band state; *benchmark* names the program in it.
     Raises ``FitError`` when the binary does not fit and
-    :class:`CaptureError` when the run does not halt.
+    :class:`CaptureError` when the run does not halt. A data cache no
+    replay can take (write-back) raises
+    :class:`~repro.replay.validity.ReplayRefused` before anything runs.
     """
+    from repro.replay.validity import ReplayRefused, check_datacache
     from repro.systems import run
     from repro.tracing.runtime import current_recorder
     from repro.tracing.span import NULL_SPAN
 
     kind = spec.entry.capture_kind
+    if kind == DATACACHE:
+        reasons = check_datacache(spec.datacache_config)
+        if reasons:
+            raise ReplayRefused(reasons)
 
     def record(system):
         return observe(system.board, _Recorder(kind, system.board, system.runtime))

@@ -307,6 +307,9 @@ def main(argv=None, out=sys.stdout):
         except CaptureError as error:
             print(f"capture failed: {error}", file=out)
             return 2
+        except ReplayRefused as error:
+            print(f"capture refused: {error}", file=out)
+            return 2
 
     if args.command == "run":
         try:

@@ -30,7 +30,10 @@ CPU. The division of labour:
   metadata traffic, memcpy charges and statistics full execution would
   produce under this configuration. Block-cache hooks fire at their
   recorded markers. Everything outside the hooks avoids the bus
-  entirely, which is where the speedup comes from.
+  entirely, which is where the speedup comes from. Per cache
+  geometry, each segment's ops are split once into FRAM-cache lookups
+  and data ops (:func:`_prepare`), and the lookups' effect is memoised
+  by the lines their sets hold on entry.
 
 Totals (counters, stalls, energy, stats) are bit-identical to full
 execution because every accounting quantity is a sum over the same
@@ -42,6 +45,7 @@ execution order throughout.
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from repro import systems
 from repro.core.transform import ACTIVE_TABLE, REDIR_TABLE
@@ -92,6 +96,10 @@ _WR_PUTC = 7
 _WR_HALT = 8
 
 
+#: Records a segment spans before a backward step may end it.
+_LOOP_SEGMENT = 16
+
+
 @dataclass(frozen=True)
 class _StreamTotals:
     """The tallies every replay of one stream shares.
@@ -113,6 +121,130 @@ class _StreamTotals:
     #: every fetch comes from SRAM; each record fetched from FRAM adds
     #: its own ``fram_contention``.
     contention: int
+
+
+def _prepare(ops, base, shift, nsets, made):
+    """A segment's *ops* split for one FRAM read-cache geometry.
+
+    Returns ``(lookups, data, hits)``. ``lookups`` are the
+    segment's effects on the cache, in order: ``(False, tag, set)`` for
+    a line read or fetched, ``(True, tag, set)`` for a line written
+    (invalidated). ``data`` are the positions in *ops* of its effects on
+    memory and the debug ports, and of the redirection-table reads the
+    walk acts on. None of this depends on the values the ops write, so
+    it serves every segment of the same shape. ``hits``
+    counts the lookups known to hit without one: a fetch's words past
+    the first on each of its lines and, since nothing but the segment
+    touches the cache while it is walked, a line the segment read or
+    fetched and has not since displaced from its set or written. *base*
+    places the segment's fetches; *shift* is the line size's log2 and
+    *nsets* the set count.
+    *made* interns the lookups across a replay's segments.
+    """
+    lookups = []
+    data = []
+    hits = 0
+    recent = [-1] * nsets  # per set, the line known most recently used
+    for position, (op, addr, value, extra) in enumerate(ops):
+        if op == _FETCH or op == _RD_FRAM:
+            if op == _FETCH:
+                first = (addr + base) >> shift
+                last = (addr + base + 2 * value - 2) >> shift
+                hits += value - 1 - (last - first)
+            else:
+                first = last = addr >> shift
+                if extra >= 0:
+                    data.append(position)
+            for tag in range(first, last + 1):
+                index = tag % nsets
+                if recent[index] == tag:
+                    hits += 1
+                else:
+                    recent[index] = tag
+                    lookups.append((False, tag, index))
+            continue
+        if op == _WR_FRAM_W or op == _WR_FRAM_B:
+            tag = addr >> shift
+            if recent[tag % nsets] == tag:
+                recent[tag % nsets] = -1
+            lookups.append((True, tag, tag % nsets))
+        data.append(position)
+    lookups = tuple(lookups)
+    return made.setdefault(lookups, lookups) if lookups else None, tuple(data), hits
+
+
+def _simulate(lines, lookups, nways):
+    """Run *lookups* on the cache *lines*; returns their effect,
+    ``(lines after, hits, misses, invalidates)``."""
+    hits = misses = invalidates = 0
+    for invalidate, tag, index in lookups:
+        ways = lines[index]
+        if invalidate:
+            if tag in ways:
+                ways.remove(tag)
+                invalidates += 1
+        elif ways and ways[-1] == tag:
+            hits += 1
+        elif tag in ways:
+            ways.remove(tag)
+            ways.append(tag)
+            hits += 1
+        else:
+            misses += 1
+            ways.append(tag)
+            if len(ways) > nways:
+                ways.pop(0)
+    return _state(lines), hits, misses, invalidates
+
+
+def _state(lines):
+    """The cache's lines as one immutable value."""
+    return tuple([tuple(ways) for ways in lines])
+
+
+def _restore(lines, state):
+    """Set the cache's lines to *state*, keeping each set's list."""
+    for ways, saved in zip(lines, state):
+        ways[:] = saved
+
+
+class _Record:
+    """One distinct trace record, classified for the stream compiler."""
+
+    __slots__ = (
+        "key",
+        "shape",
+        "pc",
+        "words",
+        "cycles",
+        "ops",
+        "fram_ops",
+        "touches",
+        "fram_contention",
+        "moves_stacks",
+        "slots",
+        "uses",
+    )
+
+    def __init__(
+        self, key, shape, pc, words, cycles, ops, fram_ops, touches, moves_stacks, slots
+    ):
+        self.key = key  # (func, fram_fetch)
+        #: Equal for records equal but for the values they write.
+        self.shape = shape
+        self.pc = pc
+        self.words = words
+        self.cycles = cycles
+        #: Its data-access ops, and the same behind its ``_FETCH``.
+        self.ops = ops
+        self.fram_ops = fram_ops
+        self.touches = touches
+        #: What fetching it from FRAM adds to the contention.
+        self.fram_contention = words if touches else words - 1
+        self.moves_stacks = moves_stacks
+        #: The ``access_counts`` slot of each data access.
+        self.slots = slots
+        self.uses = 0
 
 
 class ReplayError(RuntimeError):
@@ -164,6 +296,10 @@ class ReplayEngine:
         self.compile_seconds = 0.0
         self._artifacts = None
         self._compiled = None
+        #: Per FRAM read-cache geometry: the segments split by
+        #: :func:`_prepare`, by ops and by shape, and the tuples they
+        #: share.
+        self._prepared = {}
 
     @classmethod
     def from_file(cls, path, metrics=None):
@@ -216,15 +352,19 @@ class ReplayEngine:
         once per segment. A segment ends after any record whose
         accesses move the activation stacks -- a redirection-table read
         (which may invoke the miss handler) or an active-table write --
-        so the next segment sees their effect. Each segment is::
+        so the next segment sees their effect, and before a record
+        whose pc does not lie past the previous one's, so that a loop's
+        iterations are equal segments. Each segment is::
 
             (func, fram_fetch, records, words, fram_contention,
-             first_pc, sram_ops, fram_ops, tail)
+             first_pc, sram_ops, fram_ops, tail, shape)
 
         ``sram_ops`` holds its data accesses alone (``None`` if there
         are none), for when it is fetched from SRAM; ``fram_ops`` puts
         a ``_FETCH`` before each record's data accesses, for when it is
         fetched from FRAM. ``tail`` is its last three pcs, newest first.
+        ``shape`` is equal for segments equal but for the values they
+        write. Equal op lists and shapes are one object.
         """
         if self._compiled is not None:
             return self._compiled
@@ -251,44 +391,11 @@ class ReplayEngine:
         }
 
         app_row = Attribution.APP.slot * REGIONS
-        data_accesses = Counter()
-        instructions = fetch_words = cycles_total = contention = 0
-        compiled = []
-        run = []  # (pc, words, fram_contention, ops) of the open segment
-        run_key = None  # its (func, fram_fetch)
+        fetch_ops = {}
+        shapes = {}  # a record's pc, words and accesses without values
 
-        def close():
-            func, fram_fetch = run_key
-            sram_ops = [op for _, _, _, ops in run for op in ops]
-            fram_ops = []
-            for pc, words, _, ops in run:
-                fram_ops.append((_FETCH, pc, words, -1))
-                fram_ops.extend(ops)
-            compiled.append(
-                (
-                    func,
-                    fram_fetch,
-                    len(run),
-                    sum(words for _, words, _, _ in run),
-                    sum(cost for _, _, cost, _ in run),
-                    run[0][0],
-                    tuple(sram_ops) if sram_ops else None,
-                    tuple(fram_ops),
-                    tuple(pc for pc, _, _, _ in reversed(run[-3:])),
-                )
-            )
-            run.clear()
-
-        for record in self.document.records:
-            if record is None:
-                if self.system != BLOCK:
-                    raise ReplayError(
-                        f"hook marker in a {self.system} trace"
-                    )
-                if run:
-                    close()
-                compiled.append(None)
-                continue
+        def describe(record):
+            """Classify one distinct record."""
             func, pc, words, cycles, accesses = record
             if func >= 0:
                 if not swapram:
@@ -305,12 +412,10 @@ class ReplayEngine:
                         f"trace executes from {kind.value} at {pc:#06x}"
                     )
                 fram_fetch = kind is fram
-            instructions += 1
-            fetch_words += words
-            cycles_total += cycles
             touches = 0
             moves_stacks = False
             ops = []
+            slots = []
             for flags, addr, value in accesses:
                 kind = kinds[addr]
                 if kind is not fram and kind is not sram and kind is not mmio:
@@ -320,7 +425,7 @@ class ReplayEngine:
                     )
                 extra = -1
                 if flags & ACC_WRITE:
-                    data_accesses[WRITE_BASE + app_row + kind.slot] += 1
+                    slots.append(WRITE_BASE + app_row + kind.slot)
                     if kind is mmio:
                         op = mmio_write_ops.get(addr)
                     elif kind is fram:
@@ -334,7 +439,7 @@ class ReplayEngine:
                     else:
                         op = _WR_SRAM_B if flags & ACC_BYTE else _WR_SRAM_W
                 else:
-                    data_accesses[READ_BASE + app_row + kind.slot] += 1
+                    slots.append(READ_BASE + app_row + kind.slot)
                     op = None
                     if kind is fram:
                         touches += 1
@@ -345,18 +450,95 @@ class ReplayEngine:
                     ops.append((op, addr, value, extra))
                     if extra >= 0:
                         moves_stacks = True
-            if touches > 1:
-                contention += touches - 1
-            if run and run_key != (func, fram_fetch):
+            fetch = fetch_ops.setdefault((pc, words), (_FETCH, pc, words, -1))
+            shape = (pc, words, tuple([access[:2] for access in accesses]))
+            return _Record(
+                (func, fram_fetch),
+                shapes.setdefault(shape, len(shapes)),
+                pc,
+                words,
+                cycles,
+                tuple(ops),
+                (fetch, *ops),
+                touches,
+                moves_stacks,
+                slots,
+            )
+
+        # Records repeat (loops): each distinct record is classified
+        # once, and equal op lists are shared.
+        described = {}
+        interned = {}
+        compiled = []
+        run = []  # the open segment's records, described
+        run_key = None  # its (func, fram_fetch)
+        run_words = run_contention = 0
+
+        def close():
+            func, fram_fetch = run_key
+            shape = tuple([known.shape for known in run])
+            sram_ops = tuple(chain.from_iterable([known.ops for known in run]))
+            fram_ops = tuple(chain.from_iterable([known.fram_ops for known in run]))
+            sram_ops = sram_ops or None
+            compiled.append(
+                (
+                    func,
+                    fram_fetch,
+                    len(run),
+                    run_words,
+                    run_contention,
+                    run[0].pc,
+                    interned.setdefault(sram_ops, sram_ops),
+                    interned.setdefault(fram_ops, fram_ops),
+                    tuple(known.pc for known in reversed(run[-3:])),
+                    interned.setdefault(shape, shape),
+                )
+            )
+            run.clear()
+
+        for record in self.document.records:
+            if record is None:
+                if self.system != BLOCK:
+                    raise ReplayError(
+                        f"hook marker in a {self.system} trace"
+                    )
+                if run:
+                    close()
+                compiled.append(None)
+                continue
+            known = described.get(record)
+            if known is None:
+                known = described[record] = describe(record)
+            known.uses += 1
+            # A backward step (a loop's next iteration) also ends a
+            # segment once it is long enough, so loops repeat as equal
+            # segments.
+            if run and (
+                run_key != known.key
+                or (len(run) >= _LOOP_SEGMENT and known.pc <= run[-1].pc)
+            ):
                 close()
-            run_key = (func, fram_fetch)
-            # What fetching from FRAM adds to this record's contention.
-            fram_contention = words if touches else words - 1
-            run.append((pc, words, fram_contention, ops))
-            if moves_stacks:
+            if not run:
+                run_key = known.key
+                run_words = run_contention = 0
+            run.append(known)
+            run_words += known.words
+            run_contention += known.fram_contention
+            if known.moves_stacks:
                 close()
         if run:
             close()
+        instructions = fetch_words = cycles_total = contention = 0
+        data_accesses = Counter()
+        for known in described.values():
+            uses = known.uses
+            instructions += uses
+            fetch_words += uses * known.words
+            cycles_total += uses * known.cycles
+            if known.touches > 1:
+                contention += uses * (known.touches - 1)
+            for slot in known.slots:
+                data_accesses[slot] += uses
         compiled = (
             compiled,
             _StreamTotals(
@@ -546,17 +728,26 @@ class ReplayEngine:
             stacks = [[] for _ in runtime.meta.functions]
         history = (0, 0, 0)
 
-        hits = misses = invals = stall = 0
+        hits = misses = invals = 0
         contention = totals.contention
         fetch_fram = instr_fram = 0
         hook_invocations = 0
+        prepared, shapes, made, effects = self._prepared.setdefault(
+            (shift, nsets, nways), ({}, {}, {}, {})
+        )
+        state = _state(lines)
+        synced = True  # the cache's lines are ``state``
 
         for segment in stream:
             if segment is None:
+                if not synced:
+                    _restore(lines, state)
                 proxy.pc_history = history
                 regs[PC] = 0
                 hook(proxy)
                 hook_invocations += 1
+                state = _state(lines)
+                synced = True
                 continue
             (
                 func,
@@ -568,6 +759,7 @@ class ReplayEngine:
                 ops,
                 fram_ops,
                 tail,
+                shape,
             ) = segment
             base = 0
             if func >= 0:
@@ -579,63 +771,53 @@ class ReplayEngine:
                 base = stack[-1]
                 # A function is placed wholly in SRAM or wholly in FRAM.
                 fram_fetch = base + pc >= fram_start
+            key = id(ops)
             if fram_fetch:
                 instr_fram += records
                 fetch_fram += words
                 contention += fram_contention
                 ops = fram_ops
-            if ops is not None:
+                key = (id(ops), base)
+            if ops is None:
+                if track_history:
+                    history = (tail + history)[:3]
+                continue
+            split = prepared.get(key)
+            if split is None:
+                shape_key = (id(shape), base if fram_fetch else -1)
+                split = shapes.get(shape_key)
+                if split is None:
+                    split = shapes[shape_key] = _prepare(
+                        ops, base, shift, nsets, made
+                    )
+                lookups, positions, known_hits = split
+                data_ops = tuple([ops[index] for index in positions]) or None
+                split = prepared[key] = (lookups, data_ops, known_hits)
+            lookups, data_ops, known_hits = split
+            hits += known_hits
+            if lookups is not None:
+                # The lookups' effect is a function of the cache's lines
+                # on entry, and segments repeat: take it from the memo
+                # when those lines have been seen before. The walk keeps
+                # the lines as a value, ``state``, and writes them back
+                # to the cache only before it runs lookups or a hook.
+                entry = (id(lookups), state)
+                effect = effects.get(entry)
+                if effect is None:
+                    if not synced:
+                        _restore(lines, state)
+                        synced = True
+                    effect = effects[entry] = _simulate(lines, lookups, nways)
+                else:
+                    synced = False
+                state = effect[0]
+                hits += effect[1]
+                misses += effect[2]
+                invals += effect[3]
+            if data_ops is not None:
                 pending = -1
-                for op, addr, value, extra in ops:
-                    if op == _FETCH:
-                        # Past its first word, a line the instruction
-                        # spans is the most recently used, and every word
-                        # hits it without changing the LRU order: only
-                        # each line's first word needs a lookup.
-                        addr += base
-                        tag = addr >> shift
-                        last = (addr + 2 * value - 2) >> shift
-                        hits += value - 1 - (last - tag)
-                        while True:
-                            ways = lines[tag % nsets]
-                            if ways and ways[-1] == tag:
-                                hits += 1
-                            elif tag in ways:
-                                ways.remove(tag)
-                                ways.append(tag)
-                                hits += 1
-                            else:
-                                misses += 1
-                                ways.append(tag)
-                                if len(ways) > nways:
-                                    ways.pop(0)
-                                stall += wait
-                            if tag == last:
-                                break
-                            tag += 1
-                    elif op == _RD_FRAM:
-                        tag = addr >> shift
-                        ways = lines[tag % nsets]
-                        if ways and ways[-1] == tag:
-                            hits += 1
-                        elif tag in ways:
-                            ways.remove(tag)
-                            ways.append(tag)
-                            hits += 1
-                        else:
-                            misses += 1
-                            ways.append(tag)
-                            if len(ways) > nways:
-                                ways.pop(0)
-                            stall += wait
-                        if extra >= 0:
-                            pending = extra
-                    elif op == _WR_FRAM_W:
-                        tag = addr >> shift
-                        ways = lines[tag % nsets]
-                        if tag in ways:
-                            ways.remove(tag)
-                            invals += 1
+                for op, addr, value, extra in data_ops:
+                    if op == _WR_FRAM_W or op == _WR_SRAM_W:
                         if extra >= 0 and value < (
                             data[addr] | (data[addr + 1] << 8)
                         ):
@@ -644,17 +826,9 @@ class ReplayEngine:
                                 stack.pop()
                         data[addr] = value & 0xFF
                         data[addr + 1] = value >> 8
-                    elif op == _WR_SRAM_W:
-                        data[addr] = value & 0xFF
-                        data[addr + 1] = value >> 8
-                    elif op == _WR_SRAM_B:
-                        data[addr] = value
-                    elif op == _WR_FRAM_B:
-                        tag = addr >> shift
-                        ways = lines[tag % nsets]
-                        if tag in ways:
-                            ways.remove(tag)
-                            invals += 1
+                    elif op == _RD_FRAM:
+                        pending = extra
+                    elif op == _WR_FRAM_B or op == _WR_SRAM_B:
                         data[addr] = value
                     elif op == _WR_DEBUG:
                         debug_words.append(value)
@@ -666,10 +840,14 @@ class ReplayEngine:
                     address = redir_base + (pending << 1)
                     target = data[address] | (data[address + 1] << 8)
                     if target == handler:
+                        if not synced:
+                            _restore(lines, state)
                         regs[PC] = 0
                         hook(proxy)
                         hook_invocations += 1
                         target = regs[PC]
+                        state = _state(lines)
+                        synced = True
                     stacks[pending].append(target)
             if track_history:
                 history = (tail + history)[:3]
@@ -694,10 +872,12 @@ class ReplayEngine:
         )
         counters.cycle_counts[app.slot] += totals.cycles
         counters.stall_cycles += (
-            stall
+            misses * wait
             + totals.fram_writes * wait
             + contention * bus.contention_penalty
         )
+        if not synced:
+            _restore(lines, state)
         fc.hits += hits
         fc.misses += misses
         fc.invalidates += invals

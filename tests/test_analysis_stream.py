@@ -169,16 +169,23 @@ def test_stream_events_are_line_granular():
 
 def _datacache_document(mode):
     from repro.datacache.cache import DataCacheConfig
+    from repro.replay.schema import TraceDocument
 
-    key = f"datacache-{mode}"
-    if key not in _CACHE:
-        cleaning = "none" if mode == "through" else "alru"
-        _CACHE[key], _, _ = capture_source(
+    if "datacache" not in _CACHE:
+        _CACHE["datacache"], _, _ = capture_source(
             SOURCE,
             system="datacache",
-            datacache=DataCacheConfig(mode=mode, cleaning=cleaning),
+            datacache=DataCacheConfig(mode="through", cleaning="none"),
         )
-    return _CACHE[key]
+    through = _CACHE["datacache"]
+    if mode == "through":
+        return through
+    # A write-back capture is refused before it runs, so a write-back
+    # trace is the write-through one relabelled, as a trace stored
+    # before that refusal reads.
+    config = DataCacheConfig(mode=mode, cleaning="alru").as_dict()
+    header = dict(through.header, capture_config=config)
+    return TraceDocument(header=header, records=through.records)
 
 
 def test_write_through_datacache_trace_analyses_as_baseline():

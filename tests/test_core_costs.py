@@ -86,3 +86,61 @@ def test_swapram_system_size_report():
     assert report["runtime"] == system.meta.runtime_bytes
     assert report["metadata"] > 0
     assert report["application"] > 0
+
+
+def _charged_state(bus, charger):
+    counters = bus.counters
+    cache = bus.fram_cache
+    return {
+        "accesses": list(counters.access_counts),
+        "instructions": list(counters.instruction_counts),
+        "cycles": list(counters.cycle_counts),
+        "stalls": counters.stall_cycles,
+        "cache": cache.as_dict(),
+        "lines": [list(ways) for ways in cache._lines],
+        "touches": bus._fram_touches,
+        "cursor": charger._cursor,
+        "attribution": bus.attribution,
+    }
+
+
+def test_batched_charge_matches_the_instruction_loop():
+    """The batched charge (plain counters, nothing subscribed) against
+    the per-instruction loop (forced by a subscriber that handles
+    nothing), over random areas, cursors, counts, attributions, prior
+    FRAM touch counts and FRAM-cache geometries and contents."""
+    import random
+
+    from repro.machine import FramReadCache, fr2355_board
+    from repro.machine.observe import observe
+
+    rng = random.Random(1234)
+    attributions = list(Attribution)
+    for case in range(300):
+        area_bytes = rng.choice([1, 2, 4, 6, 8, 14, 32, 64, rng.randrange(2, 400)])
+        area_base = rng.choice([0x2000, 0x8000, 0xA000]) + 2 * rng.randrange(64)
+        geometry = (rng.choice([1, 2, 4]), rng.choice([1, 2, 4]), rng.choice([2, 4, 8]))
+        warm = [rng.randrange(0x8000, 0xC000) for _ in range(rng.randrange(8))]
+        cursor = rng.randrange(200)
+        touches = rng.randrange(4)
+        calls = [
+            (rng.randrange(40), rng.choice(attributions))
+            for _ in range(rng.randrange(1, 4))
+        ]
+        states = []
+        for looped in (False, True):
+            board = fr2355_board()
+            bus = board.bus
+            bus.fram_cache = FramReadCache(*geometry)
+            for address in warm:
+                bus.fram_cache.access(address)
+            if looped:
+                observe(board, object())
+            charger = CostCharger(bus, area_base, area_bytes, cycles_per_instruction=3)
+            charger._cursor = cursor
+            bus._fram_touches = touches
+            for count, attribution in calls:
+                charger.charge(count, attribution)
+            states.append(_charged_state(bus, charger))
+        batched, looped = states
+        assert batched == looped, (case, area_bytes, area_base, geometry, calls)

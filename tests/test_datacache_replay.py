@@ -103,8 +103,18 @@ def test_write_back_request_is_refused_naming_the_knob():
 
 
 def test_write_back_trace_is_refused_as_a_whole():
-    document, _, _ = document_for("datacache", WB)
-    assert document.header["capture_config"]["mode"] == "back"
+    # The capture itself is refused before it runs ...
+    with pytest.raises(ReplayRefused) as excinfo:
+        capture_source(SOURCE, system="datacache", datacache=WB)
+    assert "mode='through'" in str(excinfo.value)
+    # ... and a write-back trace (one stored before captures were
+    # refused) is refused as a whole.
+    from repro.replay.schema import TraceDocument
+
+    captured, _, _ = document_for("datacache", WT)
+    header = dict(captured.header)
+    header["capture_config"] = WB.as_dict()
+    document = TraceDocument(header=header, records=captured.records)
     with pytest.raises(ReplayRefused) as excinfo:
         ReplayEngine(document).replay()
     assert "mode='through'" in str(excinfo.value)

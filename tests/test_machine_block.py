@@ -1,0 +1,352 @@
+"""The block path of ``Cpu.run`` against the step loop it replaces.
+
+``Cpu.run`` takes the block path (:mod:`repro.machine.block`) while the
+counters tally on the bus and no seam subscriber is attached; any
+subscriber, even one handling nothing but ``on_step``, selects the step
+loop, which is the reference. Every test here runs the same thing both
+ways and requires the same machine state afterwards.
+"""
+
+import pytest
+
+from repro import systems
+from repro.asm import SectionLayout, assemble, parse_asm
+from repro.bench import QUICK_NAMES, get_benchmark
+from repro.difftest import generate_program
+from repro.isa.registers import PC, SP
+from repro.machine import RunawayError, SimulationError, fr2355_board
+from repro.machine.observe import observe
+from repro.toolchain import PLANS, FitError
+
+#: (system, knobs) for every ``repro.systems`` entry, SwapRAM also
+#: thrashing under the stack policy in a 0xC0-byte cache.
+CONFIGURATIONS = (
+    ("baseline", {}),
+    ("swapram", {}),
+    ("swapram", {"policy": "stack", "cache_limit": 0xC0}),
+    ("blockcache", {}),
+    ("datacache-wt", {}),
+    ("datacache-wb", {}),
+    ("datacache-acp", {}),
+)
+
+#: Generated programs beside the quick set (small, to keep tier-1 short).
+DIFFTEST_SEEDS = range(8)
+
+
+class StepOnly:
+    """A subscriber that watches nothing; attaching it selects the step loop."""
+
+    def on_step(self):
+        pass
+
+
+def observables(system):
+    """Everything a run leaves that the two paths must agree on."""
+    board = system.board
+    counters = board.counters
+    stats = getattr(system, "stats", None)
+    return {
+        "result": board.result().as_dict(),
+        "access_counts": list(counters.access_counts),
+        "instruction_counts": list(counters.instruction_counts),
+        "cycle_counts": list(counters.cycle_counts),
+        "stall_cycles": counters.stall_cycles,
+        "stats": stats.as_dict() if stats is not None else None,
+        "fram_cache": board.bus.fram_cache.as_dict(),
+        "memory": bytes(board.memory.data),
+        "pc_history": list(board.cpu.pc_history),
+        "instructions_retired": board.cpu.instructions_retired,
+        "regs": list(board.cpu.regs),
+    }
+
+
+def first_divergence(block, step):
+    for key in block:
+        if block[key] != step[key]:
+            return key
+    return None
+
+
+def _programs():
+    programs = [(name, get_benchmark(name).source) for name in QUICK_NAMES]
+    for seed in DIFFTEST_SEEDS:
+        programs.append((f"dt{seed}", generate_program(seed, "small").render()))
+    return programs
+
+
+@pytest.mark.parametrize(
+    "name, knobs",
+    CONFIGURATIONS,
+    ids=["-".join([name, *map(str, knobs.values())]) for name, knobs in CONFIGURATIONS],
+)
+def test_block_path_matches_step_loop(name, knobs):
+    cells = 0
+    for program, source in _programs():
+        runs = []
+        for step_loop in (False, True):
+            try:
+                system = systems.build(name, source, PLANS["unified"], **knobs)
+            except FitError:
+                break  # a DNF on both paths alike
+            if step_loop:
+                observe(system.board, StepOnly())
+            system.run()
+            runs.append(observables(system))
+        if not runs:
+            continue
+        cells += 1
+        key = first_divergence(*runs)
+        assert key is None, f"{name} {knobs} on {program}: {key} diverges first"
+    assert cells >= len(QUICK_NAMES)
+
+
+# -- edge cases under cpu.run() -----------------------------------------------------
+
+
+def _board(source, hooks=()):
+    program = parse_asm(source, entry="__start")
+    image = assemble(
+        program, SectionLayout(text=0x8000, rodata=0x9000, data=0x9800, bss=0x9C00)
+    )
+    board = fr2355_board().load(image)
+    for address, hook in hooks:
+        board.add_hook(address, hook)
+    return board
+
+
+def both_ways(source, hooks=(), max_instructions=100_000):
+    """Run *source* on the block path and on the step loop; returns
+    ``(error, board)`` per path, *error* being what ``cpu.run`` raised."""
+    outcomes = []
+    for step_loop in (False, True):
+        board = _board(source, hooks)
+        if step_loop:
+            observe(board, StepOnly())
+        error = None
+        try:
+            board.cpu.run(max_instructions=max_instructions)
+        except SimulationError as raised:
+            error = raised
+        outcomes.append((error, board))
+    return outcomes
+
+
+def machine_state(board):
+    counters = board.counters
+    return (
+        list(board.cpu.regs),
+        list(board.cpu.pc_history),
+        board.cpu.instructions_retired,
+        list(counters.access_counts),
+        list(counters.instruction_counts),
+        list(counters.cycle_counts),
+        counters.stall_cycles,
+        board.bus.fram_cache.as_dict(),
+        board.bus._fram_touches,
+        list(board.bus.debug_words),
+        bytes(board.memory.data),
+    )
+
+
+def assert_same(outcomes):
+    (block_error, block), (step_error, step) = outcomes
+    assert type(block_error) is type(step_error)
+    assert str(block_error) == str(step_error)
+    assert machine_state(block) == machine_state(step)
+    return block_error, block
+
+
+def test_store_rewrites_a_later_instruction_of_the_running_block():
+    # Copy a routine to SRAM and run it: its first store patches the
+    # immediate of the MOV right behind it, in the same block.
+    error, board = assert_same(
+        both_ways(
+            """
+            .func __start
+                MOV #0x3000, SP
+                MOV #0x2100, R5
+                MOV #0x40B2, 0(R5)   ; 0x2100: MOV #0x3333, &0x2108
+                MOV #0x3333, 2(R5)
+                MOV #0x2108, 4(R5)
+                MOV #0x403C, 6(R5)   ; 0x2106: MOV #0x1111, R12
+                MOV #0x1111, 8(R5)
+                MOV #0x4C82, 10(R5)  ; 0x210A: MOV R12, &0x0200
+                MOV #0x0200, 12(R5)
+                MOV #0x4392, 14(R5)  ; 0x210E: MOV #1, &0x0202
+                MOV #0x0202, 16(R5)
+                BR R5
+            .endfunc
+            """
+        )
+    )
+    assert error is None
+    assert board.bus.debug_words == [0x3333]
+
+    # In FRAM: the store rewrites MOV #0x1111's immediate two
+    # instructions ahead, inside one straight-line block.
+    error, board = assert_same(
+        both_ways(
+            """
+            .func __start
+                MOV #0x2222, &patch+2
+                NOP
+            patch:
+                MOV #0x1111, R12
+                MOV R12, &0x0200
+                MOV #1, &0x0202
+            .endfunc
+            """
+        )
+    )
+    assert error is None
+    assert board.bus.debug_words == [0x2222]
+
+
+def test_halt_store_mid_block_stops_there():
+    error, board = assert_same(
+        both_ways(
+            """
+            .func __start
+                MOV #5, R12
+                MOV #1, &0x0202
+                MOV #6, R12
+                MOV R12, &0x0200
+            spin:
+                JMP spin
+            .endfunc
+            """
+        )
+    )
+    assert error is None
+    assert board.cpu.regs[12] == 5
+    assert board.cpu.instructions_retired == 2
+    assert board.cpu.regs[PC] == 0x8008
+
+
+def test_bus_error_mid_block_names_the_instruction():
+    error, board = assert_same(
+        both_ways(
+            """
+            .func __start
+                MOV #0x3000, SP
+                MOV #7, R12
+                MOV #0x0501, R5
+                MOV @R5, R6          ; misaligned word read
+                MOV #1, &0x0202
+            .endfunc
+            """
+        )
+    )
+    assert "misaligned word read at 0x0501" in str(error)
+    assert "at PC=0x800c" in str(error)
+    assert board.cpu.instructions_retired == 3
+
+
+def test_runaway_raised_at_the_same_retired_count():
+    for budget in (1, 2, 7, 100, 1001):
+        outcomes = both_ways(
+            """
+            .func __start
+                MOV #0, R5
+            spin:
+                ADD #1, R5
+                MOV R5, R6
+                XOR #3, R6
+                JMP spin
+            .endfunc
+            """,
+            max_instructions=budget,
+        )
+        error, board = assert_same(outcomes)
+        assert isinstance(error, RunawayError)
+        assert board.cpu.instructions_retired == budget
+
+
+def test_hook_inside_straight_line_code():
+    calls = []
+
+    def hook(cpu):
+        calls.append(cpu.pc_history[0])
+        cpu.regs[12] += 100
+        cpu.regs[PC] = 0x800A  # resume after the hooked word
+
+    source = """
+        .func __start
+            MOV #1, R12
+            ADD #2, R12
+            ADD #3, R12
+            ADD #4, R12
+            MOV R12, &0x0200
+            MOV #1, &0x0202
+        .endfunc
+    """
+    # 0x8000 MOV #1, 0x8002 ADD #2, 0x8004 ADD #3 (two words), 0x8008
+    # ADD #4, 0x800A MOV R12: the hook at 0x8008 skips ADD #4.
+    hook_address = 0x8008
+    error, board = assert_same(both_ways(source, hooks=[(hook_address, hook)]))
+    assert error is None
+    assert board.bus.debug_words == [1 + 2 + 3 + 100]
+    assert calls == [0x8004, 0x8004]  # once per path, after ADD #3
+
+
+def test_pc_history_at_block_exits():
+    seen = []
+
+    def hook(cpu):
+        seen.append(tuple(cpu.pc_history))
+        cpu.regs[PC] = cpu.bus.read(cpu.regs[SP])
+        cpu.regs[SP] = (cpu.regs[SP] + 2) & 0xFFFF
+
+    source = """
+        .func __start
+            MOV #0x3000, SP
+            CALL #0x8100
+            NOP
+            CALL #0x8100
+            JMP next
+        next:
+            CALL #0x8100
+            MOV #1, &0x0202
+        .endfunc
+    """
+    error, board = assert_same(both_ways(source, hooks=[(0x8100, hook)]))
+    assert error is None
+    half = len(seen) // 2
+    assert seen[:half] == seen[half:]
+    assert seen[0] == (0x8004, 0x8000, 0)
+    assert seen[1] == (0x800A, 0x8008, 0x8004)
+
+
+def test_power_cycle_drops_the_block_cache():
+    # A run the budget stops keeps its blocks; a power cycle drops them,
+    # and so does a halt.
+    board = _board(
+        """
+        .func __start
+            MOV #7, R12
+            MOV R12, &0x0200
+        spin:
+            JMP spin
+        .endfunc
+        """
+    )
+    cpu = board.cpu
+    with pytest.raises(RunawayError):
+        cpu.run(max_instructions=100)
+    assert cpu._blocks and cpu._entries
+    board.power_cycle()
+    assert cpu._blocks == {} and cpu._entries == {}
+    with pytest.raises(RunawayError):
+        cpu.run(max_instructions=100)
+    assert board.bus.debug_words == [7, 7]
+
+    halting = _board(
+        """
+        .func __start
+            MOV #1, &0x0202
+        .endfunc
+        """
+    )
+    halting.run()
+    assert halting.cpu._blocks == {} and halting.cpu._entries == {}

@@ -499,8 +499,17 @@ def test_decode_cache_rewritten_jump_flips_branch():
 
 def test_decode_cache_dropped_across_power_cycle():
     """A rebooted machine decodes cold: power_cycle() clears the decode
-    cache along with the architectural reset, and the program still
-    re-runs correctly from persistent FRAM."""
+    cache and the block path's caches along with the architectural
+    reset, and the program still re-runs correctly from persistent
+    FRAM. ``cpu.run()`` takes the step loop, which fills the decode
+    cache, while a seam subscriber is attached; the block caches are
+    checked warm and then cold in tests/test_machine_block.py."""
+    from repro.machine.observe import observe, unobserve
+
+    class StepOnly:
+        def on_step(self):
+            pass
+
     board = run_asm(
         """
         .func __start
@@ -512,11 +521,17 @@ def test_decode_cache_dropped_across_power_cycle():
         entry="__start",
     )
     assert board.bus.debug_words == [7]
-    assert board.cpu._decode_cache  # warm after the first run
+    cpu = board.cpu
+    stepping = observe(board, StepOnly())
     board.power_cycle()
-    assert board.cpu._decode_cache == {}
     board.run()
-    assert board.bus.debug_words == [7, 7]
+    assert cpu._decode_cache  # warm after a step-loop run
+    board.power_cycle()
+    assert cpu._decode_cache == {}
+    assert cpu._blocks == {} and cpu._entries == {}
+    unobserve(board, stepping)
+    board.run()
+    assert board.bus.debug_words == [7, 7, 7]
 
 
 def test_swapram_recache_over_same_slot_decodes_fresh():

@@ -94,27 +94,34 @@ def test_block_identity_includes_geometry():
 
 
 def test_data_cache_captures_keep_one_trace_per_configuration(tmp_path):
+    """Write-through is the one replayable data cache: its capture is
+    stored under its configuration, and a write-back capture (wb, acp)
+    is refused with validity's reason before anything runs or is
+    stored."""
     from repro.replay.schema import TraceDocument
 
     source_path = tmp_path / "prog.c"
     source_path.write_text(TINY_SOURCE)
     store = tmp_path / "traces"
-    for system in ("datacache-wt", "datacache-wb", "datacache-acp"):
-        status, _ = _cli(
+    status, output = _cli(
+        ["replay", "capture", str(source_path), "--system", "datacache-wt"]
+        + ["--store", str(store)]
+    )
+    assert status == 0
+    for system in ("datacache-wb", "datacache-acp"):
+        status, output = _cli(
             ["replay", "capture", str(source_path), "--system", system]
             + ["--store", str(store)]
         )
-        assert status == 0
+        assert status == 2
+        assert "capture refused" in output
+        assert "write-back data cache is not replayable" in output
     traces = sorted(store.glob("*.trace"))
-    assert len(traces) == 3
-    assert len(TraceStore(store).read_index()) == 3
-    configs = {
-        (config["mode"], config["cleaning"])
-        for config in (
-            TraceDocument.load(path).header["capture_config"] for path in traces
-        )
-    }
-    assert configs == {("through", "none"), ("back", "alru"), ("back", "acp")}
+    assert len(traces) == 1
+    assert len(TraceStore(store).read_index()) == 1
+    header = TraceDocument.load(traces[0]).header
+    config = header["capture_config"]
+    assert (config["mode"], config["cleaning"]) == ("through", "none")
 
 
 # -- ExperimentRunner(engine="replay") ---------------------------------------------
