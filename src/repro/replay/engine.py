@@ -99,6 +99,9 @@ _WR_HALT = 8
 #: Records a segment spans before a backward step may end it.
 _LOOP_SEGMENT = 16
 
+#: Entries a walk's memo of lookup effects holds before it starts over.
+_MEMO_ENTRIES = 4096
+
 
 @dataclass(frozen=True)
 class _StreamTotals:
@@ -732,9 +735,10 @@ class ReplayEngine:
         contention = totals.contention
         fetch_fram = instr_fram = 0
         hook_invocations = 0
-        prepared, shapes, made, effects = self._prepared.setdefault(
-            (shift, nsets, nways), ({}, {}, {}, {})
+        prepared, shapes, made = self._prepared.setdefault(
+            (shift, nsets, nways), ({}, {}, {})
         )
+        effects = {}
         state = _state(lines)
         synced = True  # the cache's lines are ``state``
 
@@ -801,12 +805,17 @@ class ReplayEngine:
                 # when those lines have been seen before. The walk keeps
                 # the lines as a value, ``state``, and writes them back
                 # to the cache only before it runs lookups or a hook.
+                # The memo lives for this walk and starts over at
+                # _MEMO_ENTRIES, so lines that rarely repeat (a large
+                # fully associative cache) cannot grow it without end.
                 entry = (id(lookups), state)
                 effect = effects.get(entry)
                 if effect is None:
                     if not synced:
                         _restore(lines, state)
                         synced = True
+                    if len(effects) >= _MEMO_ENTRIES:
+                        effects.clear()
                     effect = effects[entry] = _simulate(lines, lookups, nways)
                 else:
                     synced = False

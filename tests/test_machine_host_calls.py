@@ -11,15 +11,19 @@ The data-cache systems get a budget of their own: a hit is one set scan
 in the model and a direct SRAM access in the runtime, so a data access
 served from the cache costs about what an uncached one does. Measured
 on crc under Python 3.11: 16.3 calls per instruction for baseline,
-13.7 for SwapRAM, 15.4 for datacache-wt and 14.6 for datacache-wb
-(15.9 and 15.0 while every access also fed the sequence detector,
-which no registry entry reads: their ``seq_cutoff_lines`` is 0).
+13.7 for SwapRAM, 15.5 for datacache-wt and 14.7 for datacache-wb
+(15.4 and 14.6 without the subscriber below, whose ``on_event`` the
+data-cache runtime calls on each of its events; 15.9 and 15.0
+while every access also fed the sequence detector, which no registry
+entry reads: their ``seq_cutoff_lines`` is 0).
 
 ``system.run()`` takes the block path (``repro.machine.block``) when
-nothing watches single instructions, which these runs are, so their
-calls are the block path's: measured on crc under Python 3.11, 6.3 per
-instruction for baseline and 4.1 for SwapRAM, gated at <= 9 below
-beside the step loop's original budgets.
+nothing watches single instructions, and the step loop as soon as any
+seam subscriber is attached. The step-loop gates above attach one that
+handles only ``on_event`` -- it wraps no per-instruction entry point --
+and check that ``Cpu.step`` ran for every instruction. The block path has
+its own gate: measured on crc under Python 3.11, 6.3 calls per
+instruction for baseline and 4.1 for SwapRAM, gated at <= 9.
 """
 
 import sys
@@ -29,6 +33,8 @@ import pytest
 from repro import systems
 from repro.bench import get_benchmark
 from repro.core import build_swapram
+from repro.machine.cpu import Cpu
+from repro.machine.observe import observe
 from repro.toolchain import PLANS, build_baseline
 
 #: Calls per guest instruction allowed on crc.
@@ -41,37 +47,59 @@ DATACACHE_CALLS_PER_INSTRUCTION_BUDGET = 18
 BLOCK_CALLS_PER_INSTRUCTION_BUDGET = 9
 
 
-def calls_per_instruction(system):
-    calls = 0
+class _EventsOnly:
+    """A subscriber that selects the step loop and wraps no entry point
+    an instruction passes through."""
+
+    def on_event(self, kind, **fields):
+        pass
+
+
+def calls_per_instruction(system, step_loop=False):
+    """Calls per instruction over one run; *step_loop* attaches
+    :class:`_EventsOnly` and checks that ``Cpu.step`` ran."""
+    board = getattr(system, "board", system)  # build_baseline gives a Board
+    if step_loop:
+        observe(board, _EventsOnly())
+    else:
+        assert not board.observers  # nothing selects the step loop
+    step_code = Cpu.step.__code__
+    calls = steps = 0
 
     def profile(frame, event, arg):
-        nonlocal calls
+        nonlocal calls, steps
         if event == "call" or event == "c_call":
             calls += 1
+            if frame.f_code is step_code:
+                steps += 1
 
     sys.setprofile(profile)
     try:
         result = system.run()
     finally:
         sys.setprofile(None)
+    if step_loop:
+        assert steps >= result.instructions
+    else:
+        assert steps == 0
     return calls / result.instructions
 
 
 @pytest.mark.parametrize("build", [build_baseline, build_swapram])
 def test_crc_calls_per_instruction_within_budget(build):
     system = build(get_benchmark("crc").source, PLANS["unified"])
-    assert calls_per_instruction(system) <= CALLS_PER_INSTRUCTION_BUDGET
+    calls = calls_per_instruction(system, step_loop=True)
+    assert calls <= CALLS_PER_INSTRUCTION_BUDGET
 
 
 @pytest.mark.parametrize("name", ["datacache-wt", "datacache-wb"])
 def test_crc_data_cache_calls_per_instruction_within_budget(name):
     system = systems.build(name, get_benchmark("crc").source, PLANS["unified"])
-    assert calls_per_instruction(system) <= DATACACHE_CALLS_PER_INSTRUCTION_BUDGET
+    calls = calls_per_instruction(system, step_loop=True)
+    assert calls <= DATACACHE_CALLS_PER_INSTRUCTION_BUDGET
 
 
 @pytest.mark.parametrize("build", [build_baseline, build_swapram])
 def test_crc_block_path_calls_per_instruction_within_budget(build):
     system = build(get_benchmark("crc").source, PLANS["unified"])
-    board = getattr(system, "board", system)  # build_baseline gives a Board
-    assert not board.observers  # nothing selects the step loop
     assert calls_per_instruction(system) <= BLOCK_CALLS_PER_INSTRUCTION_BUDGET
