@@ -101,7 +101,9 @@ class CostCharger:
         Each one is fetched from the area in the CPU's order:
         ``begin_instruction``, ``account_fetch`` under *attribution*,
         then ``record_instruction``. While nothing watches those seams
-        -- the counters tally on the bus and no subscriber is attached
+        -- the counters tally on the bus and no subscriber handles a
+        per-instruction entry point (``board.per_instruction``; an
+        ``on_event``-only subscriber does not, since nothing here emits)
         -- :meth:`_charge_batched` adds the same tallies at once;
         otherwise each instruction goes through the bus's instance
         seams. The attribution is swapped by hand rather than with
@@ -112,7 +114,7 @@ class CostCharger:
         board = bus.board
         if (
             bus.counters.bus_tallies
-            and (board is None or not board.observers)
+            and (board is None or not board.per_instruction)
             and self._kind is not None
             and bus.fram_cache.line_bytes >= 2
         ):

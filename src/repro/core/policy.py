@@ -78,10 +78,14 @@ class CachePolicy:
         #: informational: policies never consult it, so exposing it
         #: cannot change placement decisions or run totals.
         self.last_evictions: tuple = ()
+        #: Bumped whenever ``nodes`` changes (:meth:`commit`,
+        #: :meth:`reset`), so readers can memoise lookups by it.
+        self.version = 0
 
     def reset(self):
         self.nodes = []
         self.last_evictions = ()
+        self.version += 1
 
     def lookup(self, func_id) -> Optional[CacheNode]:
         for node in self.nodes:
@@ -132,6 +136,7 @@ class CachePolicy:
             self.nodes.remove(victim)
         node = CacheNode(func_id, placement.address, size)
         self.nodes.append(node)
+        self.version += 1
         self._after_commit(node)
         return node
 

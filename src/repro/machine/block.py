@@ -41,6 +41,13 @@ What stays exact, and how:
 * The instruction budget. A block is entered only if it cannot use up
   the budget, so :class:`RunawayError` comes from the same retired
   count as in the step loop.
+* Event stamps. An ``on_event`` subscriber keeps the block path, and a
+  data cache reports its events from inside an instruction's data
+  access, stamped from the counters. So while a data cache is attached
+  and ``board.emit`` is set, each instruction that may access memory
+  adds the running block's tallies up to its own fetch before it runs
+  -- what the step loop shows while it executes that instruction --
+  and takes them off again after.
 """
 
 from functools import partial
@@ -368,7 +375,45 @@ def _compile(env, pc, instruction, length, kind):
     fetch = env.fetch(values, pc, length, kind, memory)
     check = writes or (memory and env.data_cache)
     shape = (shape_kind, name, byte, source, dest, fetch, check)
-    return _template(shape)(**env.bound, **values), memory
+    op = _template(shape)(**env.bound, **values)
+    if memory and env.synced:
+        op = _synced(env, pc, kind, op)
+    return op, memory
+
+
+def _synced(env, pc, kind, op):
+    """*op* run with the running block's prefix tallies added: those of
+    the instructions before *pc* and of its own fetch (see
+    :func:`_prefixes`), as the step loop has them while it executes the
+    instruction, so events stamped inside it read the same counters."""
+    cpu = env.cpu
+    counters = env.counters
+    fram_cache = env.fram_cache
+    access_counts = counters.access_counts
+    instruction_counts = counters.instruction_counts
+    cycle_counts = counters.cycle_counts
+    slot = instruction_slot(_APP, kind)
+    app = _APP.slot
+
+    def synced():
+        words, retired, cycles, stall, hits = env.block.prefixes[pc]
+        access_counts[slot] += words
+        instruction_counts[slot] += retired
+        cycle_counts[app] += cycles
+        counters.stall_cycles += stall
+        fram_cache.hits += hits
+        cpu.instructions_retired += retired
+        try:
+            return op()
+        finally:
+            access_counts[slot] -= words
+            instruction_counts[slot] -= retired
+            cycle_counts[app] -= cycles
+            counters.stall_cycles -= stall
+            fram_cache.hits -= hits
+            cpu.instructions_retired -= retired
+
+    return synced
 
 
 # -- the run environment --------------------------------------------------------------
@@ -385,6 +430,13 @@ class _Environment:
         self.counters = counters = bus.counters
         self.fram_cache = fram_cache = bus.fram_cache
         self.data_cache = bus.data_cache is not None
+        #: Whether memory instructions run through :func:`_synced`. Only
+        #: ``install`` changes ``board.emit``, and it drops this
+        #: environment.
+        board = bus.board
+        self.synced = self.data_cache and board is not None and board.emit is not None
+        #: The running block, which :func:`_synced` reads.
+        self.block = None
         self.penalty = bus.contention_penalty
         access = fram_cache.access
         wait = bus.wait_states
@@ -471,6 +523,7 @@ class _Block:
         "transfer",
         "clears",
         "tail",
+        "prefixes",
     )
 
 
@@ -557,8 +610,24 @@ def _build(cpu, env, start):
         block.stall = block.hits = 0
         block.clears = not entries[-1].memory
     block.tail = tuple(reversed(pcs[-3:])) if len(pcs) >= 3 else None
+    block.prefixes = _prefixes(block, env.penalty) if env.synced else None
     cpu._blocks[start] = block
     return block
+
+
+def _prefixes(block, penalty):
+    """What :func:`_retire` adds for a fault at each memory instruction:
+    ``(words, retired, cycles, stall, hits)`` by pc."""
+    prefixes = {}
+    words = cycles = 0
+    for index, entry in enumerate(block.entries):
+        words += entry.length >> 1
+        if entry.memory:
+            stall = penalty * (words - index - 1) if block.hits else 0
+            hits = words if block.hits else 0
+            prefixes[block.pcs[index]] = (words, index, cycles, stall, hits)
+        cycles += entry.cycles
+    return prefixes
 
 
 def _retire(cpu, block, fetched, retired):
@@ -599,7 +668,8 @@ def run_blocks(cpu, max_instructions):
     """Run *cpu* to the halt port through blocks, as ``Cpu.run`` would.
 
     The caller has checked that nothing watches single instructions:
-    the counters tally on the bus and no seam subscriber is attached.
+    the counters tally on the bus and no seam subscriber handles a
+    per-instruction entry point.
     A halted machine runs again only after a reset or a restore, so the
     blocks are dropped at the halt rather than kept until the board is
     collected.
@@ -623,6 +693,7 @@ def _run(cpu, max_instructions):
     app = _APP.slot
     history = cpu.pc_history
     step = cpu.step
+    synced = env.synced
     remaining = max_instructions
     while not bus.halted:
         pc = regs[PC]
@@ -649,6 +720,8 @@ def _run(cpu, max_instructions):
             continue
 
         start, end, snapshot = block.start, block.end, block.snapshot
+        if synced:
+            env.block = block
         index = 0
         try:
             for index, op in enumerate(block.ops):

@@ -115,6 +115,8 @@ class Board:
         self.observers = []
         #: The subscribers' ``on_event`` handler, or ``None``.
         self.emit = None
+        #: Whether a subscriber handles a per-instruction entry point.
+        self.per_instruction = False
         self.bus.board = self
 
     # -- setup -----------------------------------------------------------------

@@ -227,12 +227,15 @@ class Cpu:
 
         While nothing watches single instructions -- the counters tally
         on the bus (no fuse or watchdog is armed) and no seam subscriber
-        is attached -- the run takes the block path
-        (:mod:`repro.machine.block`). Otherwise it is the step loop
-        below, the reference the block path is tested against.
+        handles a per-instruction entry point (``board.per_instruction``;
+        an ``on_event``-only subscriber does not) -- the run takes the
+        block path (:mod:`repro.machine.block`). Otherwise it is the
+        step loop below, the reference the block path is tested against.
         """
         board = self.bus.board
-        if self.bus.counters.bus_tallies and (board is None or not board.observers):
+        if self.bus.counters.bus_tallies and (
+            board is None or not board.per_instruction
+        ):
             from repro.machine.block import run_blocks
 
             run_blocks(self, max_instructions)

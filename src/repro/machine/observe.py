@@ -13,6 +13,13 @@ state, so their order cannot matter. Every :func:`observe`/
 :func:`unobserve` rebuilds the entry points from ``board.observers``:
 one wrapper where some subscriber handles an entry point, the class
 method everywhere else.
+
+Every entry point but ``on_event`` is per instruction: ``install`` sets
+``board.per_instruction`` while some subscriber handles one, and only
+then do ``Cpu.run`` and ``CostCharger.charge`` leave their fast paths
+(block-compiled execution, batched charges) for the instruction-by-
+instruction ones the wrappers sit on. A subscriber with nothing but
+``on_event`` keeps the fast paths.
 """
 
 
@@ -36,6 +43,7 @@ def unobserve(board, observer):
 def install(board):
     """Rebuild the entry points; also call it after swapping a component."""
     cpu, bus = board.cpu, board.bus
+    watched = False
     for target, name, event, wrap in (
         (cpu, "step", "on_step", _before),
         (bus, "begin_instruction", "on_begin", _before),
@@ -52,12 +60,18 @@ def install(board):
             delattr(target, name)
         handler = _handler(board, event)
         if handler is not None:
+            watched = True
             original = getattr(target, name)
             wrapper = wrap(original, handler)
             wrapper.unobserved = original
             setattr(target, name, wrapper)
     board.emit = _handler(board, "on_event")
     on_hook = _handler(board, "on_hook")
+    board.per_instruction = watched or on_hook is not None
+    # Blocks are compiled for one set of subscribers (see
+    # repro.machine.block): the next run compiles them again.
+    cpu._blocks.clear()
+    cpu._block_env = None
     for address, hook in cpu.hooks.items():
         hook = getattr(hook, "unobserved", hook)
         cpu.hooks[address] = _hook(hook, address, on_hook) if on_hook else hook

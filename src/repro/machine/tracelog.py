@@ -4,11 +4,15 @@ The aggregate :class:`AccessCounters` suffice for every paper artifact,
 but debugging a cache runtime (or exploring new policies) wants the
 actual access stream. :class:`TraceLog` subscribes to the bus's
 fetch/read/write events through the observation seam
-(:mod:`repro.machine.observe`) and records every access as
-``(sequence, attribution, type, address, region)`` into a bounded ring,
-with filters so a long run does not drown the interesting window. It
-can be attached and detached at any point during a run, in any order
+(:mod:`repro.machine.observe`) and records every access into a bounded
+ring, with filters so a long run does not drown the interesting window.
+It can be attached and detached at any point during a run, in any order
 with other observers.
+
+The ring holds raw ``(sequence, attribution, access, address)`` tuples:
+recording one is an append, with no object built and no enum read. The
+memory map is static, so each access's region is looked up only when
+:attr:`TraceLog.events` turns the ring into :class:`TraceEvent` records.
 """
 
 from collections import deque
@@ -36,7 +40,12 @@ class TraceEvent:
 
 
 class TraceLog:
-    """Bounded access log attached to a :class:`~repro.machine.bus.Bus`."""
+    """Bounded access log attached to a :class:`~repro.machine.bus.Bus`.
+
+    The filters -- access *kinds*, region *regions* and the half-open
+    *address_range* -- are fixed at construction; an access is kept only
+    if it passes all of them, while ``sequence`` counts every access.
+    """
 
     def __init__(
         self,
@@ -47,11 +56,23 @@ class TraceLog:
         address_range=None,
     ):
         self.bus = bus
-        self.events = deque(maxlen=capacity)
+        self._ring = deque(maxlen=capacity)
         self.regions = set(regions) if regions else None
         self.kinds = set(kinds) if kinds else None
         self.address_range = address_range
+        self._filtered = bool(self.regions or self.kinds or address_range)
         self.sequence = 0
+
+    @property
+    def events(self):
+        """The kept accesses, oldest first, as :class:`TraceEvent` records."""
+        kind_at = self.bus.memory_map.kind_at
+        return [
+            TraceEvent(
+                sequence, attribution.value, access, address, kind_at(address).value
+            )
+            for sequence, attribution, access, address in self._ring
+        ]
 
     # -- attachment -------------------------------------------------------------
 
@@ -79,16 +100,38 @@ class TraceLog:
     # -- recording -----------------------------------------------------------------
 
     def on_fetch(self, address, words):
+        if self._filtered:
+            for index in range(words):
+                self._record(FETCH, address + 2 * index)
+            return
+        sequence = self.sequence
+        attribution = self.bus.attribution
+        append = self._ring.append
         for index in range(words):
-            self._record(FETCH, address + 2 * index)
+            sequence += 1
+            append((sequence, attribution, FETCH, (address + 2 * index) & 0xFFFF))
+        self.sequence = sequence
 
     def on_read(self, address, byte):
-        self._record(READ, address)
+        if self._filtered:
+            self._record(READ, address)
+        else:
+            self.sequence += 1
+            self._ring.append(
+                (self.sequence, self.bus.attribution, READ, address & 0xFFFF)
+            )
 
     def on_write(self, address, value, byte):
-        self._record(WRITE, address)
+        if self._filtered:
+            self._record(WRITE, address)
+        else:
+            self.sequence += 1
+            self._ring.append(
+                (self.sequence, self.bus.attribution, WRITE, address & 0xFFFF)
+            )
 
     def _record(self, access, address):
+        """Count one access and keep it if it passes the filters."""
         self.sequence += 1
         if self.kinds and access not in self.kinds:
             return
@@ -97,24 +140,15 @@ class TraceLog:
             self.address_range[0] <= address < self.address_range[1]
         ):
             return
-        region = self.bus.memory_map.kind_at(address)
-        if self.regions and region not in self.regions:
+        if self.regions and self.bus.memory_map.kind_at(address) not in self.regions:
             return
-        self.events.append(
-            TraceEvent(
-                sequence=self.sequence,
-                attribution=self.bus.attribution.value,
-                access=access,
-                address=address,
-                region=region.value,
-            )
-        )
+        self._ring.append((self.sequence, self.bus.attribution, access, address))
 
     # -- inspection ---------------------------------------------------------------------
 
     def dump(self, limit=None):
         """Render the most recent events as text."""
-        events = list(self.events)
+        events = self.events
         if limit is not None:
             events = events[-limit:]
         return "\n".join(str(event) for event in events)

@@ -99,16 +99,32 @@ def _static_map(linked):
 
 
 class _SwapRamCacheResolver:
-    """Attribute SRAM cache addresses to the function cached there."""
+    """Attribute SRAM cache addresses to the function cached there.
+
+    Each address is resolved by a scan of the policy's nodes once, then
+    memoised until the node list changes (``policy.version`` moves), so
+    runs of instructions from the same cache state are O(1) each.
+    """
 
     def __init__(self, runtime):
         self.runtime = runtime
+        self._version = -1
+        self._names = {}
 
     def __call__(self, address):
-        for node in self.runtime.policy.nodes:
-            if node.address <= address < node.end:
-                return self.runtime.by_id[node.func_id].name
-        return "<cache-free>"
+        policy = self.runtime.policy
+        if policy.version != self._version:
+            self._names = {}
+            self._version = policy.version
+        name = self._names.get(address)
+        if name is None:
+            name = "<cache-free>"
+            for node in policy.nodes:
+                if node.address <= address < node.end:
+                    name = self.runtime.by_id[node.func_id].name
+                    break
+            self._names[address] = name
+        return name
 
 
 class _BlockSlotResolver:

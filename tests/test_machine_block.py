@@ -1,10 +1,13 @@
 """The block path of ``Cpu.run`` against the step loop it replaces.
 
 ``Cpu.run`` takes the block path (:mod:`repro.machine.block`) while the
-counters tally on the bus and no seam subscriber is attached; any
-subscriber, even one handling nothing but ``on_step``, selects the step
-loop, which is the reference. Every test here runs the same thing both
-ways and requires the same machine state afterwards.
+counters tally on the bus and no seam subscriber handles a
+per-instruction entry point; a subscriber handling one, even a no-op
+``on_step``, selects the step loop, which is the reference. Subscribers
+with only ``on_event`` (a timeline, a metrics registry) keep the block
+path. Every test here runs the same thing both ways and requires the
+same machine state afterwards -- and, with event subscribers attached,
+the same event stream and stamps.
 """
 
 import pytest
@@ -15,7 +18,11 @@ from repro.bench import QUICK_NAMES, get_benchmark
 from repro.difftest import generate_program
 from repro.isa.registers import PC, SP
 from repro.machine import RunawayError, SimulationError, fr2355_board
+from repro.machine.cpu import Cpu
 from repro.machine.observe import observe
+from repro.metrics.instrument import EventMetrics
+from repro.metrics.registry import MetricsRegistry
+from repro.obs.timeline import Timeline
 from repro.toolchain import PLANS, FitError
 
 #: (system, knobs) for every ``repro.systems`` entry, SwapRAM also
@@ -99,6 +106,70 @@ def test_block_path_matches_step_loop(name, knobs):
         key = first_divergence(*runs)
         assert key is None, f"{name} {knobs} on {program}: {key} diverges first"
     assert cells >= len(QUICK_NAMES)
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """Count ``Cpu.step`` calls; returns the one-item count list."""
+    calls = [0]
+    step = Cpu.step
+
+    def counted(cpu):
+        calls[0] += 1
+        return step(cpu)
+
+    monkeypatch.setattr(Cpu, "step", counted)
+    return calls
+
+
+def _event_run(name, knobs, source, step_loop, step_calls):
+    """Run with a timeline and an event-metrics registry attached;
+    returns ``(events, registry, observables)``, or ``None`` on a DNF."""
+    try:
+        system = systems.build(name, source, PLANS["unified"], **knobs)
+    except FitError:
+        return None
+    board = system.board
+    timeline = observe(board, Timeline(board))
+    registry = MetricsRegistry()
+    observe(board, EventMetrics(registry))
+    if step_loop:
+        observe(board, StepOnly())
+    step_calls[0] = 0
+    system.run()
+    retired = board.cpu.instructions_retired
+    if step_loop:
+        assert step_calls[0] >= retired
+    else:
+        assert step_calls[0] < retired  # the block path ran
+    events = [(event.cycle, event.kind, vars(event)) for event in timeline.events]
+    return events, registry.as_dict(), observables(system)
+
+
+@pytest.mark.parametrize(
+    "name, knobs",
+    CONFIGURATIONS,
+    ids=["-".join([name, *map(str, knobs.values())]) for name, knobs in CONFIGURATIONS],
+)
+def test_event_subscribers_keep_the_block_path_exactly(name, knobs, step_calls):
+    cells = stamped = 0
+    for program, source in _programs():
+        block = _event_run(name, knobs, source, False, step_calls)
+        if block is None:
+            continue  # a DNF on both paths alike
+        step = _event_run(name, knobs, source, True, step_calls)
+        cells += 1
+        where = f"{name} {knobs} on {program}"
+        events, reference = block[0], step[0]
+        stamped += len(events)
+        for index, (got, want) in enumerate(zip(events, reference)):
+            assert got == want, f"{where}: event {index} is {got}, step loop {want}"
+        assert len(events) == len(reference), f"{where}: event count differs"
+        assert block[1] == step[1], f"{where}: metrics registry diverges"
+        key = first_divergence(block[2], step[2])
+        assert key is None, f"{where}: {key} diverges first"
+    assert cells >= len(QUICK_NAMES)
+    assert stamped or name == "baseline"  # every runtime reports events
 
 
 # -- edge cases under cpu.run() -----------------------------------------------------

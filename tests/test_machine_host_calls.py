@@ -10,20 +10,17 @@ bus, FRAM-cache timing, accounting -- at or below its budget.
 The data-cache systems get a budget of their own: a hit is one set scan
 in the model and a direct SRAM access in the runtime, so a data access
 served from the cache costs about what an uncached one does. Measured
-on crc under Python 3.11: 16.3 calls per instruction for baseline,
-13.7 for SwapRAM, 15.5 for datacache-wt and 14.7 for datacache-wb
-(15.4 and 14.6 without the subscriber below, whose ``on_event`` the
-data-cache runtime calls on each of its events; 15.9 and 15.0
-while every access also fed the sequence detector, which no registry
-entry reads: their ``seq_cutoff_lines`` is 0).
+on crc under Python 3.11: 16.26 calls per instruction for baseline,
+13.71 for SwapRAM, 15.40 for datacache-wt and 14.57 for datacache-wb.
 
-``system.run()`` takes the block path (``repro.machine.block``) when
-nothing watches single instructions, and the step loop as soon as any
-seam subscriber is attached. The step-loop gates above attach one that
-handles only ``on_event`` -- it wraps no per-instruction entry point --
-and check that ``Cpu.step`` ran for every instruction. The block path has
-its own gate: measured on crc under Python 3.11, 6.3 calls per
-instruction for baseline and 4.1 for SwapRAM, gated at <= 9.
+``system.run()`` takes the block path (``repro.machine.block``) unless
+a seam subscriber handles a per-instruction entry point (an
+``on_event``-only subscriber keeps the block path). The step-loop gates
+above attach one that handles only ``on_hook``, which crc reaches only
+on a SwapRAM miss, so they measure the step loop at its own cost, and
+check that ``Cpu.step`` ran for every instruction. The block path has
+its own gate: measured on crc under Python 3.11, 6.35 calls per
+instruction for baseline and 4.12 for SwapRAM, gated at <= 9.
 """
 
 import sys
@@ -47,20 +44,21 @@ DATACACHE_CALLS_PER_INSTRUCTION_BUDGET = 18
 BLOCK_CALLS_PER_INSTRUCTION_BUDGET = 9
 
 
-class _EventsOnly:
-    """A subscriber that selects the step loop and wraps no entry point
-    an instruction passes through."""
+class _HookOnly:
+    """A subscriber that selects the step loop: it handles ``on_hook``,
+    a per-instruction entry point, which crc's runs reach only on a
+    SwapRAM miss, and does nothing."""
 
-    def on_event(self, kind, **fields):
+    def on_hook(self, address, cpu):
         pass
 
 
 def calls_per_instruction(system, step_loop=False):
     """Calls per instruction over one run; *step_loop* attaches
-    :class:`_EventsOnly` and checks that ``Cpu.step`` ran."""
+    :class:`_HookOnly` and checks that ``Cpu.step`` ran."""
     board = getattr(system, "board", system)  # build_baseline gives a Board
     if step_loop:
-        observe(board, _EventsOnly())
+        observe(board, _HookOnly())
     else:
         assert not board.observers  # nothing selects the step loop
     step_code = Cpu.step.__code__

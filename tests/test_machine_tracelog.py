@@ -1,9 +1,13 @@
 """Access trace logging."""
 
+from collections import deque
+
+from repro.bench import get_benchmark
 from repro.core import build_swapram
 from repro.machine.memory import RegionKind
-from repro.machine.trace import WRITE
-from repro.machine.tracelog import TraceLog
+from repro.machine.observe import observe
+from repro.machine.trace import FETCH, READ, WRITE
+from repro.machine.tracelog import TraceEvent, TraceLog
 from repro.toolchain import PLANS, build_baseline
 
 SRC = """
@@ -86,3 +90,87 @@ def test_dump_formatting():
     text = log.dump(limit=5)
     assert len(text.splitlines()) == 5
     assert "0x" in text
+
+
+# -- the lazy ring against an eager recorder ---------------------------------------
+
+
+class EagerLog:
+    """The reference: builds each kept access's :class:`TraceEvent` when
+    it happens, filtering in the same order as :class:`TraceLog`."""
+
+    def __init__(self, bus, capacity, regions=None, kinds=None, address_range=None):
+        self.bus = bus
+        self.events = deque(maxlen=capacity)
+        self.regions = regions
+        self.kinds = kinds
+        self.address_range = address_range
+        self.sequence = 0
+
+    def on_fetch(self, address, words):
+        for index in range(words):
+            self._record(FETCH, address + 2 * index)
+
+    def on_read(self, address, byte):
+        self._record(READ, address)
+
+    def on_write(self, address, value, byte):
+        self._record(WRITE, address)
+
+    def _record(self, access, address):
+        self.sequence += 1
+        if self.kinds and access not in self.kinds:
+            return
+        address &= 0xFFFF
+        if self.address_range and not (
+            self.address_range[0] <= address < self.address_range[1]
+        ):
+            return
+        region = self.bus.memory_map.kind_at(address)
+        if self.regions and region not in self.regions:
+            return
+        self.events.append(
+            TraceEvent(
+                self.sequence,
+                self.bus.attribution.value,
+                access,
+                address,
+                region.value,
+            )
+        )
+
+    def dump(self):
+        return "\n".join(str(event) for event in self.events)
+
+
+def test_lazy_ring_matches_an_eager_recorder():
+    system = build_swapram(get_benchmark("crc").source, PLANS["unified"])
+    bus = system.board.bus
+    cache = (system.runtime.policy.base, system.runtime.policy.end)
+    filters = {
+        "none, wrapping": {"capacity": 20_000},
+        "kinds": {"capacity": 50_000, "kinds": {READ, WRITE}},
+        "regions": {"capacity": 50_000, "regions": {RegionKind.SRAM}},
+        "address_range": {"capacity": 50_000, "address_range": cache},
+        "all, wrapping": {
+            "capacity": 333,
+            "kinds": {FETCH, WRITE},
+            "regions": {RegionKind.SRAM},
+            "address_range": cache,
+        },
+    }
+    pairs = {
+        name: (
+            TraceLog(bus, **knobs).attach(),
+            observe(bus.board, EagerLog(bus, **knobs)),
+        )
+        for name, knobs in filters.items()
+    }
+    system.run()
+    for name, (log, eager) in pairs.items():
+        log.detach()
+        assert log.sequence == eager.sequence > 300_000, name
+        assert log.events == list(eager.events), name
+        assert log.dump() == eager.dump(), name
+        assert 0 < len(log.events) <= filters[name]["capacity"], name
+    assert len(pairs["none, wrapping"][0].events) == 20_000

@@ -8,8 +8,11 @@ from repro import systems
 from repro.bench import get_benchmark
 from repro.blockcache import build_blockcache
 from repro.core import build_swapram
+from repro.isa.registers import PC
 from repro.machine import PowerFailure, install_fused_counters
+from repro.machine.observe import observe
 from repro.obs import TraceSession
+from repro.obs.funcmap import map_for_swapram
 from repro.toolchain import PLANS, build_baseline
 
 SOURCE = """
@@ -168,3 +171,41 @@ def test_profile_as_dict_round_trip():
     assert record["name"] == "main"
     assert record["cycles"] == session.profiles["main"].cycles
     assert "energy_nj" in record
+
+
+def test_swapram_cache_resolver_memo_matches_a_scan_at_every_step():
+    """The resolver memoises by ``policy.version``; on a thrashing run it
+    must name what a scan of the live nodes names, at the executing pc
+    and at one more window address per step."""
+    system = systems.build(
+        "swapram",
+        get_benchmark("lzfx").source,
+        PLANS["unified"],
+        policy="stack",
+        cache_limit=0xC0,
+    )
+    runtime = system.runtime
+    policy = runtime.policy
+    funcmap = map_for_swapram(system)
+    regs = system.board.cpu.regs
+
+    def scan(address):
+        for node in policy.nodes:
+            if node.address <= address < node.end:
+                return runtime.by_id[node.func_id].name
+        return "<cache-free>"
+
+    class Check:
+        steps = 0
+
+        def on_step(self):
+            probe = policy.base + self.steps % (policy.end - policy.base)
+            self.steps += 1
+            for address in (regs[PC], probe):
+                if policy.base <= address < policy.end:
+                    assert funcmap.resolve(address) == scan(address), address
+
+    observe(system.board, Check())
+    system.run()
+    assert system.stats.evictions > 100  # the cache thrashed
+    assert policy.version > 100
