@@ -100,21 +100,21 @@ class CostCharger:
 
         Each one is fetched from the area in the CPU's order:
         ``begin_instruction``, ``account_fetch`` under *attribution*,
-        then ``record_instruction``. While nothing watches those seams
-        -- the counters tally on the bus and no subscriber handles a
-        per-instruction entry point (``board.per_instruction``; an
-        ``on_event``-only subscriber does not, since nothing here emits)
-        -- :meth:`_charge_batched` adds the same tallies at once;
-        otherwise each instruction goes through the bus's instance
+        then ``record_instruction``. While nothing watches those -- the
+        counters tally on the bus and no seam subscriber handles
+        ``on_fetch`` or ``on_retire`` (the access log and the capture
+        recorder do) -- :meth:`_charge_batched` adds the same tallies at
+        once; otherwise each instruction goes through the bus's instance
         seams. The attribution is swapped by hand rather than with
         :meth:`Bus.attributed`, whose generator is most of a charged
         instruction's host cost.
         """
         bus = self.bus
-        board = bus.board
+        handlers = bus.board.handlers if bus.board is not None else ()
         if (
             bus.counters.bus_tallies
-            and (board is None or not board.per_instruction)
+            and "on_fetch" not in handlers
+            and "on_retire" not in handlers
             and self._kind is not None
             and bus.fram_cache.line_bytes >= 2
         ):

@@ -41,20 +41,32 @@ What stays exact, and how:
 * The instruction budget. A block is entered only if it cannot use up
   the budget, so :class:`RunawayError` comes from the same retired
   count as in the step loop.
-* Event stamps. An ``on_event`` subscriber keeps the block path, and a
-  data cache reports its events from inside an instruction's data
-  access, stamped from the counters. So while a data cache is attached
-  and ``board.emit`` is set, each instruction that may access memory
-  adds the running block's tallies up to its own fetch before it runs
-  -- what the step loop shows while it executes that instruction --
-  and takes them off again after.
+* Event stamps. A data cache reports its events from inside an
+  instruction's data access, stamped from the counters. So while a
+  data cache is attached and ``board.emit`` is set, each instruction
+  that may access memory records its pc, and :func:`run_blocks` wraps
+  ``board.emit`` to add the running block's tallies up to that
+  instruction's fetch -- what the step loop shows while it executes it
+  -- for as long as an event is emitted.
+* Observers (:mod:`repro.machine.observe`). Blocks are compiled for the
+  board's subscribers. ``on_block`` runs before each block, hook and
+  step, and a block also ends after an instruction that may raise SP,
+  so the handler sees every change of function and every return where
+  the counters are exact. While ``on_fetch`` or ``on_retire`` is
+  handled, each instruction calls it with its static pc and words or
+  cycles, and while ``on_read`` or ``on_write`` is, each data access
+  calls it before the access itself, SRAM or not (the bus a block
+  calls is the one below the seam). The handlers then see the step
+  loop's calls, with its arguments and in its order. Only fuses and the
+  cycle watchdog (``bus_tallies`` cleared) keep a run on the step loop.
 """
 
+from collections import namedtuple
 from functools import partial
 
 from repro.isa.cycles import instruction_cycles
 from repro.isa.encoding import EncodingError, decode_instruction
-from repro.isa.instructions import FORMAT_I_OPCODES, JUMP_CONDITIONS
+from repro.isa.instructions import FORMAT_I_OPCODES, JUMP_CONDITIONS, NO_WRITEBACK
 from repro.isa.operands import MEMORY_MODES, AddressingMode
 from repro.isa.registers import PC, SP
 from repro.machine.bus import BusError
@@ -85,33 +97,43 @@ _UNARY = frozenset({"RRA", "RRC", "SWPB", "SXT"})
 # -- templates ------------------------------------------------------------------
 #
 # Template parameters, bound per instruction: ``regs``, ``bus``,
-# ``data``, ``kinds``, ``counts``, ``read``, ``write`` and ``miss`` from
-# the run environment; ``S``/``X``/``K``/``STEP`` (source register,
-# displacement or address, immediate, autoincrement step), ``D``/``Y``
-# (destination register, displacement or address), ``TARGET``/``NEXT``/
-# ``TAKEN`` (jumps), ``W`` and ``WAYS<i>``/``TAG<i>``/``ADDR<i>`` (a
-# FRAM fetch's words and lines), and ``cpu``/``ins``/``execute`` (the
-# step loop's executor). A closure keeps only the names its body uses.
+# ``data``, ``kinds``, ``counts``, ``read``, ``write`` (the bus's, below
+# the seam), ``miss``, ``ON_FETCH``/``ON_READ``/``ON_WRITE``/``ON_RETIRE``
+# (the seam's handlers) and ``ENV`` from the run environment; ``S``/``X``/``K``/``STEP``
+# (source register, displacement or address, immediate, autoincrement
+# step), ``D``/``Y`` (destination register, displacement or address),
+# ``TARGET``/``NEXT``/``TAKEN`` (jumps), ``AT``/``W``/``KIND``/``CYCLES``
+# (the instruction's pc, words, region and cycles), ``WAYS<i>``/
+# ``TAG<i>``/``ADDR<i>`` (a FRAM fetch's lines), and ``cpu``/``ins``/
+# ``execute`` (the step loop's executor). A closure keeps only the names
+# its body uses.
 
 _PARAMETERS = (
-    "regs bus data kinds counts read write miss S X K STEP D Y TARGET NEXT TAKEN W "
-    "WAYS0 TAG0 ADDR0 WAYS1 TAG1 ADDR1 WAYS2 TAG2 ADDR2 cpu ins execute"
+    "regs bus data kinds counts read write miss ON_FETCH ON_READ ON_WRITE ON_RETIRE "
+    "ENV S X K STEP D Y TARGET NEXT TAKEN AT W KIND CYCLES WAYS0 TAG0 ADDR0 WAYS1 TAG1 "
+    "ADDR1 WAYS2 TAG2 ADDR2 cpu ins execute"
 ).split()
+
+#: Which access handlers a block's instructions call (see
+#: :mod:`repro.machine.observe`).
+_Watch = namedtuple("_Watch", "fetch read write retire")
 
 _TEMPLATES = {}
 
 
-def _load(value, address, byte):
-    """Read *address* into *value*: SRAM inline, anything else by the bus."""
+def _load(value, address, byte, watch):
+    """Read *address* into *value*: SRAM inline, anything else by the
+    bus; after the ``on_read`` handler if *watch* says it is handled."""
+    lines = [f"ON_READ({address}, {byte})"] if watch.read else []
     if byte:
-        return [
+        return lines + [
             f"if kinds[{address}] is SRAM:",
             f"    counts[{_READ_SRAM}] += 1",
             f"    {value} = data[{address}]",
             "else:",
             f"    {value} = read({address}, True)",
         ]
-    return [
+    return lines + [
         f"if kinds[{address}] is SRAM and not {address} & 1:",
         f"    counts[{_READ_SRAM}] += 1",
         f"    {value} = data[{address}] | (data[{address} + 1] << 8)",
@@ -120,17 +142,19 @@ def _load(value, address, byte):
     ]
 
 
-def _store(address, value, byte):
-    """Write *value* to *address*: SRAM inline, anything else by the bus."""
+def _store(address, value, byte, watch):
+    """Write *value* to *address*: SRAM inline, anything else by the
+    bus; after the ``on_write`` handler if *watch* says it is handled."""
+    lines = [f"ON_WRITE({address}, {value}, {byte})"] if watch.write else []
     if byte:
-        return [
+        return lines + [
             f"if kinds[{address}] is SRAM:",
             f"    counts[{_WRITE_SRAM}] += 1",
             f"    data[{address}] = {value}",
             "else:",
             f"    write({address}, {value}, True)",
         ]
-    return [
+    return lines + [
         f"if kinds[{address}] is SRAM and not {address} & 1:",
         f"    counts[{_WRITE_SRAM}] += 1",
         f"    data[{address}] = {value} & 0xFF",
@@ -144,7 +168,7 @@ def _write_register(value):
     return [f"regs[D] = {value}"]
 
 
-def _source(mode, byte):
+def _source(mode, byte, watch):
     """Evaluate the source operand into ``s``, as ``Cpu._read_source``."""
     if mode == "reg":
         return [f"s = regs[S] & {0xFF if byte else 0xFFFF:#x}"]
@@ -156,7 +180,7 @@ def _source(mode, byte):
         "ind": "regs[S] & 0xFFFF",
         "inc": "regs[S] & 0xFFFF",
     }[mode]
-    lines = [f"a = {address}", *_load("s", "a", byte)]
+    lines = [f"a = {address}", *_load("s", "a", byte, watch)]
     if mode == "inc":
         lines.append("regs[S] = (regs[S] + STEP) & 0xFFFF")
     return lines
@@ -175,18 +199,18 @@ def _flags(msb, carry, overflow=None):
     return ["regs[2] = " + " | ".join(parts)]
 
 
-def _binary(name, byte, src, dst):
+def _binary(name, byte, src, dst, watch):
     """A Format I instruction, in the step loop's order of effects."""
     mask, msb = (0xFF, 0x80) if byte else (0xFFFF, 0x8000)
     lines = ["c = regs[2] & 1"] if name in ("ADDC", "SUBC") else []
-    lines += _source(src, byte)
+    lines += _source(src, byte, watch)
     if dst == "reg":
         read_dest = [f"d = regs[D] & {mask:#x}"]
         write = _write_register
     else:
         lines.append("b = (regs[D] + Y) & 0xFFFF" if dst == "idx" else "b = Y")
-        read_dest = _load("d", "b", byte)
-        write = partial(_store, "b", byte=byte)
+        read_dest = _load("d", "b", byte, watch)
+        write = partial(_store, "b", byte=byte, watch=watch)
     if name == "MOV":
         return lines + write("s")
     lines += read_dest
@@ -228,14 +252,15 @@ def _unary(name, byte):
     return lines + ["regs[S] = r"]
 
 
-def _body(kind, name, byte, src, dst):
+def _body(kind, name, byte, src, dst, watch):
     if kind == "binary":
-        return _binary(name, byte, src, dst)
+        return _binary(name, byte, src, dst, watch)
     if kind == "unary":
         return _unary(name, byte)
     if kind == "push":
-        lines = _source(src, byte) + ["b = (regs[1] - 2) & 0xFFFF", "regs[1] = b"]
-        return lines + _store("b", "s", False)
+        lines = _source(src, byte, watch)
+        lines += ["b = (regs[1] - 2) & 0xFFFF", "regs[1] = b"]
+        return lines + _store("b", "s", False, watch)
     if kind == "jump":
         if name == "JMP":
             return ["regs[0] = TARGET"]
@@ -269,8 +294,13 @@ def _template(shape):
     """The closure factory for *shape*, generated on first use."""
     factory = _TEMPLATES.get(shape)
     if factory is None:
-        kind, name, byte, src, dst, fetch, check = shape
-        body = _prologue(fetch) + _body(kind, name, byte, src, dst)
+        kind, name, byte, src, dst, fetch, check, watch, synced = shape
+        body = ["ENV.at = AT"] if synced else []
+        if watch.fetch:
+            body.append("ON_FETCH(AT, W)")
+        body += _prologue(fetch) + _body(kind, name, byte, src, dst, watch)
+        if watch.retire:
+            body.append("ON_RETIRE(APP, KIND, CYCLES)")
         if check:
             body.append("return True")
         source = "\n".join(
@@ -281,7 +311,7 @@ def _template(shape):
                 "    return op",
             ]
         )
-        namespace = {"SRAM": _SRAM}
+        namespace = {"SRAM": _SRAM, "APP": _APP}
         exec(compile(source, f"<block template {shape}>", "exec"), namespace)
         factory = _TEMPLATES[shape] = namespace["make"]
     return factory
@@ -293,14 +323,32 @@ def _template(shape):
 class _Entry:
     """One compiled instruction, shared by every block that covers it."""
 
-    __slots__ = ("op", "instruction", "length", "cycles", "memory")
+    __slots__ = ("op", "instruction", "length", "cycles", "memory", "ends")
 
-    def __init__(self, op, instruction, length, memory):
+    def __init__(self, op, instruction, length, memory, ends):
         self.op = op
         self.instruction = instruction
         self.length = length
         self.cycles = instruction_cycles(instruction)
         self.memory = memory
+        #: Whether a block ends after this instruction.
+        self.ends = ends
+
+
+def _raises_sp(instruction):
+    """Whether *instruction* may raise SP: it writes SP as a register
+    operand or pops through it (``@SP+``)."""
+    name = instruction.mnemonic
+    src, dst = instruction.src, instruction.dst
+    if src is not None and src.register == SP and src.mode is AddressingMode.AUTOINC:
+        return True
+    if name in FORMAT_I_OPCODES and name not in NO_WRITEBACK:
+        target = dst
+    elif name in _UNARY:
+        target = src
+    else:
+        return False
+    return target.mode is AddressingMode.REGISTER and target.register == SP
 
 
 def _reads_pc(instruction):
@@ -341,7 +389,13 @@ def _compile(env, pc, instruction, length, kind):
     byte = instruction.byte
     source = _MODES[src.mode] if src is not None else None
     dest = _MODES[dst.mode] if dst is not None else None
-    values = {"NEXT": (pc + length) & 0xFFFF}
+    values = {
+        "NEXT": (pc + length) & 0xFFFF,
+        "AT": pc,
+        "W": length >> 1,
+        "KIND": kind,
+        "CYCLES": instruction_cycles(instruction),
+    }
     if shape_kind == "jump":
         memory = writes = False
         values.update(TARGET=instruction.target & 0xFFFF, TAKEN=_JUMP_TAKEN[name])
@@ -374,46 +428,10 @@ def _compile(env, pc, instruction, length, kind):
             writes = dst.mode in MEMORY_MODES and name not in ("CMP", "BIT")
     fetch = env.fetch(values, pc, length, kind, memory)
     check = writes or (memory and env.data_cache)
-    shape = (shape_kind, name, byte, source, dest, fetch, check)
+    synced = memory and env.synced
+    shape = (shape_kind, name, byte, source, dest, fetch, check, env.watch, synced)
     op = _template(shape)(**env.bound, **values)
-    if memory and env.synced:
-        op = _synced(env, pc, kind, op)
     return op, memory
-
-
-def _synced(env, pc, kind, op):
-    """*op* run with the running block's prefix tallies added: those of
-    the instructions before *pc* and of its own fetch (see
-    :func:`_prefixes`), as the step loop has them while it executes the
-    instruction, so events stamped inside it read the same counters."""
-    cpu = env.cpu
-    counters = env.counters
-    fram_cache = env.fram_cache
-    access_counts = counters.access_counts
-    instruction_counts = counters.instruction_counts
-    cycle_counts = counters.cycle_counts
-    slot = instruction_slot(_APP, kind)
-    app = _APP.slot
-
-    def synced():
-        words, retired, cycles, stall, hits = env.block.prefixes[pc]
-        access_counts[slot] += words
-        instruction_counts[slot] += retired
-        cycle_counts[app] += cycles
-        counters.stall_cycles += stall
-        fram_cache.hits += hits
-        cpu.instructions_retired += retired
-        try:
-            return op()
-        finally:
-            access_counts[slot] -= words
-            instruction_counts[slot] -= retired
-            cycle_counts[app] -= cycles
-            counters.stall_cycles -= stall
-            fram_cache.hits -= hits
-            cpu.instructions_retired -= retired
-
-    return synced
 
 
 # -- the run environment --------------------------------------------------------------
@@ -430,13 +448,21 @@ class _Environment:
         self.counters = counters = bus.counters
         self.fram_cache = fram_cache = bus.fram_cache
         self.data_cache = bus.data_cache is not None
-        #: Whether memory instructions run through :func:`_synced`. Only
-        #: ``install`` changes ``board.emit``, and it drops this
-        #: environment.
+        # Only ``install`` changes the subscribers, and it drops this
+        # environment.
         board = bus.board
+        handlers = board.handlers if board is not None else {}
+        #: The ``on_block`` handler: blocks then also end after an
+        #: instruction that may raise SP.
+        self.enter = handlers.get("on_block")
+        #: The access handlers each instruction calls itself.
+        self.watch = _Watch(*(f"on_{name}" in handlers for name in _Watch._fields))
+        #: Whether memory instructions record their pc for events
+        #: stamped inside them (see :func:`_stamping`).
         self.synced = self.data_cache and board is not None and board.emit is not None
-        #: The running block, which :func:`_synced` reads.
+        #: The running block and memory instruction, while synced.
         self.block = None
+        self.at = None
         self.penalty = bus.contention_penalty
         access = fram_cache.access
         wait = bus.wait_states
@@ -453,9 +479,15 @@ class _Environment:
             "data": bus.memory.data,
             "kinds": bus._kinds,
             "counts": counters.access_counts,
-            "read": bus.read,
-            "write": bus.write,
+            # The bus below the seam: a block calls the handlers itself.
+            "read": getattr(bus.read, "unobserved", bus.read),
+            "write": getattr(bus.write, "unobserved", bus.write),
             "miss": miss,
+            "ON_FETCH": handlers.get("on_fetch"),
+            "ON_READ": handlers.get("on_read"),
+            "ON_WRITE": handlers.get("on_write"),
+            "ON_RETIRE": handlers.get("on_retire"),
+            "ENV": self,
         }
 
     def fetch(self, values, pc, length, kind, memory):
@@ -469,7 +501,6 @@ class _Environment:
             tag = address // fram_cache.line_bytes
             if not tags or tags[-1][0] != tag:
                 tags.append((tag, address))
-        values["W"] = length >> 1
         for index, (tag, address) in enumerate(tags):
             values[f"WAYS{index}"] = lines[tag % fram_cache.sets]
             values[f"TAG{index}"] = tag
@@ -561,7 +592,10 @@ def _entry(env, data, kinds, pc, kind):
             return None
         instruction, _ = decode_instruction(env.cpu.bus.memory.read_word, pc)
         op, memory = _compile(env, pc, instruction, length, kind)
-        entry = env.cpu._entries[key] = _Entry(op, instruction, length, memory)
+        ends = instruction.writes_pc() or (
+            env.enter is not None and _raises_sp(instruction)
+        )
+        entry = env.cpu._entries[key] = _Entry(op, instruction, length, memory, ends)
     return entry
 
 
@@ -586,7 +620,7 @@ def _build(cpu, env, start):
         entries.append(entry)
         pcs.append(pc)
         pc += entry.length
-        if entry.instruction.writes_pc():
+        if entry.ends:
             break
     if not entries:
         return None
@@ -667,21 +701,67 @@ def _fault(cpu, block, index, error):
 def run_blocks(cpu, max_instructions):
     """Run *cpu* to the halt port through blocks, as ``Cpu.run`` would.
 
-    The caller has checked that nothing watches single instructions:
-    the counters tally on the bus and no seam subscriber handles a
-    per-instruction entry point.
-    A halted machine runs again only after a reset or a restore, so the
-    blocks are dropped at the halt rather than kept until the board is
-    collected.
+    The caller has checked that the counters tally on the bus (no fuse
+    or watchdog is armed). A halted machine runs again only after a
+    reset or a restore, so the blocks are dropped at the halt rather
+    than kept until the board is collected.
     """
-    _run(cpu, max_instructions)
+    env = _environment(cpu)
+    board = cpu.bus.board
+    if env.synced:
+        emit = board.emit
+        env.block = None
+        board.emit = _stamping(env, emit)
+    try:
+        _run(cpu, env, max_instructions)
+    finally:
+        if env.synced:
+            board.emit = emit
     cpu._blocks.clear()
     cpu._entries.clear()
 
 
-def _run(cpu, max_instructions):
+def _stamping(env, emit):
+    """*emit* with the running block's prefix tallies added while it
+    runs: those of the instructions before the memory instruction
+    emitting and of its own fetch (see :func:`_prefixes`), as the step
+    loop has them while it executes that instruction."""
+    cpu = env.cpu
+    counters = env.counters
+    fram_cache = env.fram_cache
+    access_counts = counters.access_counts
+    instruction_counts = counters.instruction_counts
+    cycle_counts = counters.cycle_counts
+    app = _APP.slot
+
+    def stamped(kind, **fields):
+        block = env.block
+        if block is None:
+            emit(kind, **fields)
+            return
+        words, retired, cycles, stall, hits = block.prefixes[env.at]
+        slot = block.slot
+        access_counts[slot] += words
+        instruction_counts[slot] += retired
+        cycle_counts[app] += cycles
+        counters.stall_cycles += stall
+        fram_cache.hits += hits
+        cpu.instructions_retired += retired
+        try:
+            emit(kind, **fields)
+        finally:
+            access_counts[slot] -= words
+            instruction_counts[slot] -= retired
+            cycle_counts[app] -= cycles
+            counters.stall_cycles -= stall
+            fram_cache.hits -= hits
+            cpu.instructions_retired -= retired
+
+    return stamped
+
+
+def _run(cpu, env, max_instructions):
     bus = cpu.bus
-    env = _environment(cpu)
     blocks = cpu._blocks
     hooks = cpu.hooks
     regs = cpu.regs
@@ -693,6 +773,7 @@ def _run(cpu, max_instructions):
     app = _APP.slot
     history = cpu.pc_history
     step = cpu.step
+    enter = env.enter
     synced = env.synced
     remaining = max_instructions
     while not bus.halted:
@@ -705,8 +786,11 @@ def _run(cpu, max_instructions):
                 block = _build(cpu, env, pc)
         if block is None or block.count >= remaining or bus.attribution is not _APP:
             # A hook, an instruction no block covers, or a block that
-            # could use up the budget: one step.
+            # could use up the budget: one step (whose seam wrapper
+            # calls ``enter``).
             if hook is not None:
+                if enter is not None:
+                    enter()
                 hook(cpu)
             elif not step():
                 return
@@ -719,6 +803,8 @@ def _run(cpu, max_instructions):
                 )
             continue
 
+        if enter is not None:
+            enter()
         start, end, snapshot = block.start, block.end, block.snapshot
         if synced:
             env.block = block
@@ -729,6 +815,8 @@ def _run(cpu, max_instructions):
                     break
         except BaseException as error:
             _fault(cpu, block, index, error)
+        if synced:
+            env.block = None
         count = index + 1
         if count < block.count:
             regs[PC] = _retire(cpu, block, count, count)

@@ -115,8 +115,8 @@ class Board:
         self.observers = []
         #: The subscribers' ``on_event`` handler, or ``None``.
         self.emit = None
-        #: Whether a subscriber handles a per-instruction entry point.
-        self.per_instruction = False
+        #: The subscribers' handlers by entry-point name, but ``on_event``.
+        self.handlers = {}
         self.bus.board = self
 
     # -- setup -----------------------------------------------------------------

@@ -81,6 +81,10 @@ class RunawayError(SimulationError):
 class Cpu:
     """A single MSP430 core attached to a :class:`~repro.machine.bus.Bus`."""
 
+    #: Run the step loop whatever is attached: the reference that tests
+    #: compare the block path against (set it on an instance).
+    _step_loop = False
+
     def __init__(self, bus):
         self.bus = bus
         self.regs = [0] * 16
@@ -225,17 +229,14 @@ class Cpu:
     def run(self, max_instructions=50_000_000):
         """Run until the program halts; guard against runaways.
 
-        While nothing watches single instructions -- the counters tally
-        on the bus (no fuse or watchdog is armed) and no seam subscriber
-        handles a per-instruction entry point (``board.per_instruction``;
-        an ``on_event``-only subscriber does not) -- the run takes the
-        block path (:mod:`repro.machine.block`). Otherwise it is the
-        step loop below, the reference the block path is tested against.
+        While the counters tally on the bus -- no power fuse or cycle
+        watchdog is armed -- the run takes the block path
+        (:mod:`repro.machine.block`), observed or not: seam subscribers
+        see the same handler calls there. Otherwise it is the step loop
+        below, which is also the reference the block path is tested
+        against; tests select it with :attr:`_step_loop`.
         """
-        board = self.bus.board
-        if self.bus.counters.bus_tallies and (
-            board is None or not board.per_instruction
-        ):
+        if self.bus.counters.bus_tallies and not self._step_loop:
             from repro.machine.block import run_blocks
 
             run_blocks(self, max_instructions)

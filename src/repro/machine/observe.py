@@ -1,25 +1,30 @@
 """The machine's one observation seam (see docs/observability.md).
 
-An observer implements any subset of ``on_step()``, ``on_begin()``,
-``on_fetch(address, words)``, ``on_read(address, byte)`` and
-``on_write(address, value, byte)`` -- called before ``cpu.step``,
-``bus.begin_instruction``, ``bus.fetch_word``/``account_fetch``,
-``bus.read`` and ``bus.write`` do their own work -- and
-``on_retire(attribution, region_kind, cycles)`` and ``on_hook(address,
-cpu)``, called after ``counters.record_instruction`` and after a native
-hook returns, and ``on_event(kind, **fields)``, which is ``board.emit``
-(``None`` while no subscriber has it). Handlers only read machine
-state, so their order cannot matter. Every :func:`observe`/
-:func:`unobserve` rebuilds the entry points from ``board.observers``:
-one wrapper where some subscriber handles an entry point, the class
-method everywhere else.
+An observer implements any subset of ``on_block()``,
+``on_fetch(address, words)``, ``on_read(address, byte)``,
+``on_write(address, value, byte)``, ``on_retire(attribution,
+region_kind, cycles)``, ``on_hook(address, cpu)`` and ``on_event(kind,
+**fields)``. Handlers only read machine state, so their order cannot
+matter. Every :func:`observe`/:func:`unobserve` rebuilds the entry
+points from ``board.observers``: one wrapper where some subscriber
+handles an entry point, the class method everywhere else, and
+``board.handlers`` maps each handled name to its handler.
 
-Every entry point but ``on_event`` is per instruction: ``install`` sets
-``board.per_instruction`` while some subscriber handles one, and only
-then do ``Cpu.run`` and ``CostCharger.charge`` leave their fast paths
-(block-compiled execution, batched charges) for the instruction-by-
-instruction ones the wrappers sit on. A subscriber with nothing but
-``on_event`` keeps the fast paths.
+* ``on_block`` runs before each block the block path enters
+  (:mod:`repro.machine.block`) and before each ``cpu.step`` and native
+  hook run outside one. Between two calls the PC stays in one function
+  and SP does not rise, so a handler reads the counters where they are
+  exact and sees every change of function and every return.
+* ``on_fetch``, ``on_read`` and ``on_write`` run before
+  ``bus.fetch_word``/``account_fetch``, ``bus.read`` and ``bus.write``
+  do their own work, so above the data cache; ``on_retire`` runs after
+  ``counters.record_instruction``. Blocks compiled while one of them is
+  handled call it themselves: with each instruction's static pc, words
+  and cycles, and before each data access, SRAM ones included, so the
+  handlers see the step loop's sequence.
+* ``on_hook`` runs after a native hook returns.
+* ``on_event`` is ``board.emit`` (``None`` while no subscriber has it),
+  called by the runtimes for each event they report.
 """
 
 
@@ -43,10 +48,13 @@ def unobserve(board, observer):
 def install(board):
     """Rebuild the entry points; also call it after swapping a component."""
     cpu, bus = board.cpu, board.bus
-    watched = False
+    handlers = {}
+    for name in ("on_block", "on_fetch", "on_read", "on_write", "on_retire", "on_hook"):
+        handler = _handler(board, name)
+        if handler is not None:
+            handlers[name] = handler
     for target, name, event, wrap in (
-        (cpu, "step", "on_step", _before),
-        (bus, "begin_instruction", "on_begin", _before),
+        (cpu, "step", "on_block", _before),
         (bus, "fetch_word", "on_fetch", _fetch_word),
         (bus, "account_fetch", "on_fetch", _account_fetch),
         (bus, "read", "on_read", _read),
@@ -58,20 +66,19 @@ def install(board):
         # the instance slower.
         if hasattr(getattr(target, name), "unobserved"):
             delattr(target, name)
-        handler = _handler(board, event)
+        handler = handlers.get(event)
         if handler is not None:
-            watched = True
             original = getattr(target, name)
             wrapper = wrap(original, handler)
             wrapper.unobserved = original
             setattr(target, name, wrapper)
     board.emit = _handler(board, "on_event")
-    on_hook = _handler(board, "on_hook")
-    board.per_instruction = watched or on_hook is not None
+    board.handlers = handlers
     # Blocks are compiled for one set of subscribers (see
     # repro.machine.block): the next run compiles them again.
     cpu._blocks.clear()
     cpu._block_env = None
+    on_hook = handlers.get("on_hook")
     for address, hook in cpu.hooks.items():
         hook = getattr(hook, "unobserved", hook)
         cpu.hooks[address] = _hook(hook, address, on_hook) if on_hook else hook

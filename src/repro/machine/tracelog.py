@@ -104,13 +104,18 @@ class TraceLog:
             for index in range(words):
                 self._record(FETCH, address + 2 * index)
             return
-        sequence = self.sequence
+        sequence = self.sequence + 1
         attribution = self.bus.attribution
+        if words == 1:
+            self.sequence = sequence
+            self._ring.append((sequence, attribution, FETCH, address & 0xFFFF))
+            return
         append = self._ring.append
         for index in range(words):
-            sequence += 1
-            append((sequence, attribution, FETCH, (address + 2 * index) & 0xFFFF))
-        self.sequence = sequence
+            append(
+                (sequence + index, attribution, FETCH, (address + 2 * index) & 0xFFFF)
+            )
+        self.sequence = sequence + words - 1
 
     def on_read(self, address, byte):
         if self._filtered:

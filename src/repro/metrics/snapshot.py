@@ -184,6 +184,7 @@ def _snapshot_replay_run(
     row["host"] = {
         "run_s": outcome.seconds,
         "build_s": engine.build_seconds + engine.compile_seconds,
+        "prepare_s": engine.prepare_seconds,
         "capture_s": timer.seconds("capture"),
         "events_per_s": outcome.events_per_s,
         "instructions_per_s": (

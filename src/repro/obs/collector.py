@@ -1,15 +1,18 @@
-"""Per-instruction attribution: profiles and the call tree.
+"""Per-function attribution: profiles and the call tree.
 
-The collector subscribes to ``on_step`` through the observation seam
-(:mod:`repro.machine.observe`) and resolves each step's PC to the
-function owning it. A *segment* is a run of steps with the same
+The collector subscribes to ``on_block`` through the observation seam
+(:mod:`repro.machine.observe`), which runs before each block, step and
+hook -- often enough that between two calls the PC stays in one
+function and SP does not rise -- and resolves the PC there to the
+function owning it. A *segment* is a run of execution with the same
 call-stack top; when the top changes (and on detach) the collector
 diffs the tallies the board's counters already keep -- cycles by
 attribution, stalls, instructions, FRAM reads, FRAM writes and SRAM
 traffic -- and attributes the growth to the segment's function. The
-counters sit below the data cache, so the traffic is exactly what
-:class:`~repro.machine.board.RunResult` reports; a crashed or fuse-cut
-run still attributes its partial last step on detach.
+counters are exact at each ``on_block`` and sit below the data cache,
+so the traffic is exactly what :class:`~repro.machine.board.RunResult`
+reports; a crashed or fuse-cut run still attributes its partial last
+step on detach.
 
 Call/return edges are inferred from PC/SP movement:
 
@@ -130,9 +133,7 @@ class CallNode:
 
     @property
     def inclusive(self):
-        return self.cycles + sum(
-            child.inclusive for child in self.children.values()
-        )
+        return self.cycles + sum(child.inclusive for child in self.children.values())
 
     def as_dict(self):
         return {
@@ -176,12 +177,12 @@ class Collector:
         self._finished = False
         # The seam handler, bound per instance so a class-level wrapper
         # of _step (a host profiler's) is the one that runs.
-        self.on_step = self._step
+        self.on_block = self._step
 
     # -- attachment ----------------------------------------------------------------
 
     def attach(self):
-        """Subscribe to the board's steps (idempotent)."""
+        """Subscribe to the board's blocks and steps (idempotent)."""
         observe(self.board, self)
         return self
 
@@ -196,7 +197,12 @@ class Collector:
 
     def _step(self):
         regs = self.cpu.regs
-        self._sync_stack(self.funcmap.resolve(regs[PC]), regs[SP])
+        name = self.funcmap.resolve(regs[PC])
+        sp = regs[SP]
+        top = self._segment
+        if top is not None and top.name == name and sp <= top.entry_sp:
+            return  # still in the open segment's frame: nothing changes
+        self._sync_stack(name, sp)
         top = self._stack[-1]
         if top is not self._segment:
             self._flush()

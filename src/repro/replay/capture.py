@@ -2,15 +2,16 @@
 
 A :class:`_Recorder` subscribes to the machine's observation seam
 (:mod:`repro.machine.observe`) and rebuilds the per-instruction
-structure the CPU's step loop implies:
+structure from the handlers' arguments alone, so it records the same
+stream on the block path as on the step loop:
 
-``on_begin`` (application attribution only -- every hook charge and
-runtime access happens inside ``bus.attributed(...)`` blocks and is
+an application fetch (application attribution only -- every hook charge
+and runtime access happens under another attribution and is
 deliberately *not* recorded, because replay re-runs the real runtime)
-opens a record at the current PC; ``on_read``/``on_write`` append data
-accesses (writes keep their values); ``on_retire`` closes the record
-with the instruction's unstalled cycles and the application fetch words
-the counters gained since ``on_begin``.
+opens a record at the fetched address, and further fetch words before
+the retire add to it; ``on_read``/``on_write`` append data accesses
+(writes keep their values); ``on_retire`` closes the record with the
+instruction's unstalled cycles and fetch words.
 
 For SwapRAM targets the recorder additionally tracks **activations** --
 live executions of cacheable functions -- so instruction addresses
@@ -31,9 +32,8 @@ against identical cache geometry -- the validity checker enforces it.
 from dataclasses import asdict
 
 from repro.isa.registers import PC
-from repro.machine.memory import RegionKind
 from repro.machine.observe import observe, unobserve
-from repro.machine.trace import FETCH, Attribution, access_slot
+from repro.machine.trace import Attribution
 from repro.replay.schema import (
     ACC_BYTE,
     ACC_VALUE,
@@ -43,8 +43,6 @@ from repro.replay.schema import (
 )
 
 _APP = Attribution.APP
-_APP_SRAM_FETCH = access_slot(_APP, RegionKind.SRAM, FETCH)
-_APP_FRAM_FETCH = access_slot(_APP, RegionKind.FRAM, FETCH)
 
 
 SWAPRAM = "swapram"
@@ -63,7 +61,6 @@ class _Recorder:
         self.kind = kind
         self.board = board
         self.bus = board.bus
-        self._regs = board.cpu.regs
         self.records = []
         self.cache_window_writes = 0
         self._cur_acc = None
@@ -118,15 +115,15 @@ class _Recorder:
 
     # -- seam handlers ---------------------------------------------------------------
 
-    def on_begin(self):
+    def on_fetch(self, address, words):
         if self.bus.attribution is _APP:
-            if self._cur_acc is not None:
-                raise CaptureError("instruction record left open")
-            self._cur_pc = self._regs[PC]
-            # Application words fetched so far; the retire diffs it.
-            counts = self.board.counters.access_counts
-            self._cur_fetched = counts[_APP_SRAM_FETCH] + counts[_APP_FRAM_FETCH]
-            self._cur_acc = []
+            if self._cur_acc is None:
+                self._cur_pc = address & 0xFFFF
+                self._cur_fetched = words
+                self._cur_acc = []
+            else:
+                # The decoder's further words of the open instruction.
+                self._cur_fetched += words
 
     def on_read(self, address, byte):
         if self.bus.attribution is not _APP:
@@ -178,9 +175,7 @@ class _Recorder:
             func, offset = self._map_pc(pc)
         else:
             func, offset = -1, pc
-        counts = self.board.counters.access_counts
-        words = counts[_APP_SRAM_FETCH] + counts[_APP_FRAM_FETCH] - self._cur_fetched
-        self.records.append((func, offset, words, cycles, tuple(acc)))
+        self.records.append((func, offset, self._cur_fetched, cycles, tuple(acc)))
         self._cur_acc = None
 
     def finish(self, result):
@@ -273,9 +268,7 @@ def capture(spec, benchmark=None):
         "image_sha256": image_sha256(board.image),
         "capture_config": config,
         "capture_result": result.as_dict(),
-        "capture_stats": (
-            runtime.stats.as_dict() if runtime is not None else None
-        ),
+        "capture_stats": (runtime.stats.as_dict() if runtime is not None else None),
         "app_writes_cache_window": recorder.cache_window_writes > 0,
     }
     return build_document(header, recorder.records), outcome.system, result

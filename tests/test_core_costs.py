@@ -107,12 +107,17 @@ def _charged_state(bus, charger):
 def test_batched_charge_matches_the_instruction_loop():
     """The batched charge (plain counters, nothing subscribed) against
     the per-instruction loop (forced by a subscriber that handles
-    nothing), over random areas, cursors, counts, attributions, prior
-    FRAM touch counts and FRAM-cache geometries and contents."""
+    ``on_retire`` and does nothing), over random areas, cursors, counts,
+    attributions, prior FRAM touch counts and FRAM-cache geometries and
+    contents."""
     import random
 
     from repro.machine import FramReadCache, fr2355_board
     from repro.machine.observe import observe
+
+    class RetireOnly:
+        def on_retire(self, attribution, region_kind, cycles):
+            pass
 
     rng = random.Random(1234)
     attributions = list(Attribution)
@@ -135,7 +140,7 @@ def test_batched_charge_matches_the_instruction_loop():
             for address in warm:
                 bus.fram_cache.access(address)
             if looped:
-                observe(board, object())
+                observe(board, RetireOnly())
             charger = CostCharger(bus, area_base, area_bytes, cycles_per_instruction=3)
             charger._cursor = cursor
             bus._fram_touches = touches

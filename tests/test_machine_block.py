@@ -1,14 +1,16 @@
 """The block path of ``Cpu.run`` against the step loop it replaces.
 
 ``Cpu.run`` takes the block path (:mod:`repro.machine.block`) while the
-counters tally on the bus and no seam subscriber handles a
-per-instruction entry point; a subscriber handling one, even a no-op
-``on_step``, selects the step loop, which is the reference. Subscribers
-with only ``on_event`` (a timeline, a metrics registry) keep the block
-path. Every test here runs the same thing both ways and requires the
-same machine state afterwards -- and, with event subscribers attached,
-the same event stream and stamps.
+counters tally on the bus, whatever seam subscribers are attached;
+``Cpu._step_loop`` selects the step loop, which is the reference. Every
+test here runs the same thing both ways and requires the same machine
+state afterwards -- and, with observers attached, the same event
+stream and stamps, the same profiles, call tree and Perfetto document,
+the same access-log rings and the same captured traces.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -19,10 +21,16 @@ from repro.difftest import generate_program
 from repro.isa.registers import PC, SP
 from repro.machine import RunawayError, SimulationError, fr2355_board
 from repro.machine.cpu import Cpu
+from repro.machine.memory import RegionKind
 from repro.machine.observe import observe
-from repro.metrics.instrument import EventMetrics
+from repro.machine.tracelog import TraceLog
+from repro.metrics.instrument import EventMetrics, MetricsSession
 from repro.metrics.registry import MetricsRegistry
+from repro.obs import TraceSession
+from repro.obs.perfetto import perfetto_trace
 from repro.obs.timeline import Timeline
+from repro.replay.capture import _Recorder, capture
+from repro.replay.schema import encode_events
 from repro.toolchain import PLANS, FitError
 
 #: (system, knobs) for every ``repro.systems`` entry, SwapRAM also
@@ -41,11 +49,9 @@ CONFIGURATIONS = (
 DIFFTEST_SEEDS = range(8)
 
 
-class StepOnly:
-    """A subscriber that watches nothing; attaching it selects the step loop."""
-
-    def on_step(self):
-        pass
+def reference(board):
+    """Make *board*'s runs take the step loop."""
+    board.cpu._step_loop = True
 
 
 def observables(system):
@@ -82,29 +88,95 @@ def _programs():
     return programs
 
 
+# -- observed runs -------------------------------------------------------------------
+
+#: The access logs an observed run attaches, both wrapping many times
+#: over: an unfiltered one and one with a kind and a region filter. The
+#: capture recorder sees the whole application access stream.
+ACCESS_LOGS = {
+    "unfiltered": {"capacity": 4096},
+    "filtered": {
+        "capacity": 256,
+        "kinds": {"read", "write"},
+        "regions": {RegionKind.FRAM},
+    },
+}
+
+
+def _log_view(log):
+    return log.sequence, [tuple(vars(event).values()) for event in log.events]
+
+
+def _observed_run(name, knobs, source, step_loop, step_calls):
+    """Run with every production observer attached -- a trace session
+    (collector and timeline), the access logs, the capture recorder and
+    a metrics session; returns what they recorded, or ``None`` on a
+    DNF."""
+    try:
+        system = systems.build(name, source, PLANS["unified"], **knobs)
+    except FitError:
+        return None
+    board = system.board
+    session = TraceSession.attach(system)
+    logs = {key: TraceLog(board.bus, **kw).attach() for key, kw in ACCESS_LOGS.items()}
+    kind = systems.spec(name).capture_kind
+    recorder = observe(board, _Recorder(kind, board, system.runtime))
+    metrics = MetricsSession.attach(system)
+    if step_loop:
+        reference(board)
+    step_calls[0] = 0
+    result = system.run()
+    retired = board.cpu.instructions_retired
+    if step_loop:
+        assert step_calls[0] >= retired
+    else:
+        assert step_calls[0] < retired  # the block path ran
+    for log in logs.values():
+        log.detach()
+    session.finish(result)
+    recorder.finish(result)
+    metrics.finish(result)
+    observed = observables(system)
+    observed |= {
+        "profiles": {key: p.as_dict() for key, p in session.profiles.items()},
+        "call_tree": session.call_tree.as_dict(),
+        "perfetto": json.dumps(perfetto_trace(session), sort_keys=True),
+        "capture": hashlib.sha256(encode_events(recorder.records)).hexdigest(),
+        "metrics": {
+            key: metric
+            for key, metric in metrics.registry.as_dict().items()
+            if not key.startswith("host.")
+        },
+    }
+    for key, log in logs.items():
+        observed[f"log:{key}"] = _log_view(log)
+    return observed
+
+
 @pytest.mark.parametrize(
     "name, knobs",
     CONFIGURATIONS,
     ids=["-".join([name, *map(str, knobs.values())]) for name, knobs in CONFIGURATIONS],
 )
-def test_block_path_matches_step_loop(name, knobs):
+def test_block_path_matches_step_loop(name, knobs, step_calls):
+    """The block path, unobserved and with every production observer
+    attached, against the observed step loop. Observers never change
+    what the machine does (tests/test_machine_observe.py), so one
+    reference run serves both."""
     cells = 0
     for program, source in _programs():
-        runs = []
-        for step_loop in (False, True):
-            try:
-                system = systems.build(name, source, PLANS["unified"], **knobs)
-            except FitError:
-                break  # a DNF on both paths alike
-            if step_loop:
-                observe(system.board, StepOnly())
-            system.run()
-            runs.append(observables(system))
-        if not runs:
-            continue
+        step = _observed_run(name, knobs, source, True, step_calls)
+        if step is None:
+            continue  # a DNF on both paths alike
         cells += 1
-        key = first_divergence(*runs)
-        assert key is None, f"{name} {knobs} on {program}: {key} diverges first"
+        where = f"{name} {knobs} on {program}"
+        system = systems.build(name, source, PLANS["unified"], **knobs)
+        system.run()
+        key = first_divergence(observables(system), step)
+        assert key is None, f"{where}: {key} diverges first"
+        block = _observed_run(name, knobs, source, False, step_calls)
+        key = first_divergence(block, step)
+        assert key is None, f"{where}, observed: {key} diverges first"
     assert cells >= len(QUICK_NAMES)
 
 
@@ -134,7 +206,7 @@ def _event_run(name, knobs, source, step_loop, step_calls):
     registry = MetricsRegistry()
     observe(board, EventMetrics(registry))
     if step_loop:
-        observe(board, StepOnly())
+        reference(board)
     step_calls[0] = 0
     system.run()
     retired = board.cpu.instructions_retired
@@ -172,6 +244,15 @@ def test_event_subscribers_keep_the_block_path_exactly(name, knobs, step_calls):
     assert stamped or name == "baseline"  # every runtime reports events
 
 
+@pytest.mark.parametrize("name", ["baseline", "swapram", "blockcache", "datacache-wt"])
+def test_capture_bytes_match_the_step_loop(name, monkeypatch):
+    source = get_benchmark("crc").source
+    block, _, _ = capture(systems.RunSpec(source, name), "crc")
+    monkeypatch.setattr(Cpu, "_step_loop", True)
+    step, _, _ = capture(systems.RunSpec(source, name), "crc")
+    assert block.to_bytes() == step.to_bytes()
+
+
 # -- edge cases under cpu.run() -----------------------------------------------------
 
 
@@ -193,7 +274,7 @@ def both_ways(source, hooks=(), max_instructions=100_000):
     for step_loop in (False, True):
         board = _board(source, hooks)
         if step_loop:
-            observe(board, StepOnly())
+            reference(board)
         error = None
         try:
             board.cpu.run(max_instructions=max_instructions)

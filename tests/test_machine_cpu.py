@@ -502,14 +502,8 @@ def test_decode_cache_dropped_across_power_cycle():
     cache and the block path's caches along with the architectural
     reset, and the program still re-runs correctly from persistent
     FRAM. ``cpu.run()`` takes the step loop, which fills the decode
-    cache, while a seam subscriber is attached; the block caches are
-    checked warm and then cold in tests/test_machine_block.py."""
-    from repro.machine.observe import observe, unobserve
-
-    class StepOnly:
-        def on_step(self):
-            pass
-
+    cache, while ``Cpu._step_loop`` is set; the block caches are checked
+    warm and then cold in tests/test_machine_block.py."""
     board = run_asm(
         """
         .func __start
@@ -522,14 +516,14 @@ def test_decode_cache_dropped_across_power_cycle():
     )
     assert board.bus.debug_words == [7]
     cpu = board.cpu
-    stepping = observe(board, StepOnly())
+    cpu._step_loop = True
     board.power_cycle()
     board.run()
     assert cpu._decode_cache  # warm after a step-loop run
     board.power_cycle()
     assert cpu._decode_cache == {}
     assert cpu._blocks == {} and cpu._entries == {}
-    unobserve(board, stepping)
+    cpu._step_loop = False
     board.run()
     assert board.bus.debug_words == [7, 7, 7]
 

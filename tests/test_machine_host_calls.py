@@ -14,13 +14,17 @@ on crc under Python 3.11: 16.26 calls per instruction for baseline,
 13.71 for SwapRAM, 15.40 for datacache-wt and 14.57 for datacache-wb.
 
 ``system.run()`` takes the block path (``repro.machine.block``) unless
-a seam subscriber handles a per-instruction entry point (an
-``on_event``-only subscriber keeps the block path). The step-loop gates
-above attach one that handles only ``on_hook``, which crc reaches only
-on a SwapRAM miss, so they measure the step loop at its own cost, and
-check that ``Cpu.step`` ran for every instruction. The block path has
-its own gate: measured on crc under Python 3.11, 6.35 calls per
-instruction for baseline and 4.12 for SwapRAM, gated at <= 9.
+a fuse or watchdog is armed, observed or not. The step-loop gates above
+select the step loop with ``Cpu._step_loop``, so they measure it at its
+own cost, and check that ``Cpu.step`` ran for every instruction. The
+block path has its own gate: measured on crc under Python 3.11, 6.35
+calls per instruction for baseline and 4.12 for SwapRAM, gated at <= 9.
+
+Observed runs take the block path too. crc under SwapRAM with a
+``TraceSession`` and a ``TraceLog`` attached, as ``repro trace
+--accesses`` runs it, has a gate of its own: measured on crc under
+Python 3.11, 9.25 calls per instruction (24.1 on the step loop), gated
+at <= 10.
 """
 
 import sys
@@ -31,7 +35,8 @@ from repro import systems
 from repro.bench import get_benchmark
 from repro.core import build_swapram
 from repro.machine.cpu import Cpu
-from repro.machine.observe import observe
+from repro.machine.tracelog import TraceLog
+from repro.obs import TraceSession
 from repro.toolchain import PLANS, build_baseline
 
 #: Calls per guest instruction allowed on crc.
@@ -43,24 +48,16 @@ DATACACHE_CALLS_PER_INSTRUCTION_BUDGET = 18
 #: Calls per guest instruction allowed on crc on the block path.
 BLOCK_CALLS_PER_INSTRUCTION_BUDGET = 9
 
-
-class _HookOnly:
-    """A subscriber that selects the step loop: it handles ``on_hook``,
-    a per-instruction entry point, which crc's runs reach only on a
-    SwapRAM miss, and does nothing."""
-
-    def on_hook(self, address, cpu):
-        pass
+#: Calls per guest instruction allowed on traced crc on the block path.
+TRACED_CALLS_PER_INSTRUCTION_BUDGET = 10
 
 
 def calls_per_instruction(system, step_loop=False):
-    """Calls per instruction over one run; *step_loop* attaches
-    :class:`_HookOnly` and checks that ``Cpu.step`` ran."""
+    """Calls per instruction over one run; *step_loop* selects the step
+    loop and checks that ``Cpu.step`` ran for every instruction."""
     board = getattr(system, "board", system)  # build_baseline gives a Board
     if step_loop:
-        observe(board, _HookOnly())
-    else:
-        assert not board.observers  # nothing selects the step loop
+        board.cpu._step_loop = True
     step_code = Cpu.step.__code__
     calls = steps = 0
 
@@ -78,6 +75,8 @@ def calls_per_instruction(system, step_loop=False):
         sys.setprofile(None)
     if step_loop:
         assert steps >= result.instructions
+    elif board.observers:
+        assert steps < result.instructions  # the block path ran
     else:
         assert steps == 0
     return calls / result.instructions
@@ -101,3 +100,13 @@ def test_crc_data_cache_calls_per_instruction_within_budget(name):
 def test_crc_block_path_calls_per_instruction_within_budget(build):
     system = build(get_benchmark("crc").source, PLANS["unified"])
     assert calls_per_instruction(system) <= BLOCK_CALLS_PER_INSTRUCTION_BUDGET
+
+
+def test_traced_crc_block_path_calls_per_instruction_within_budget():
+    system = build_swapram(get_benchmark("crc").source, PLANS["unified"])
+    session = TraceSession.attach(system)
+    log = TraceLog(system.board.bus, capacity=32).attach()
+    calls = calls_per_instruction(system)
+    log.detach()
+    session.finish()
+    assert calls <= TRACED_CALLS_PER_INSTRUCTION_BUDGET

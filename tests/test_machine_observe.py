@@ -33,7 +33,6 @@ int main(void) {
 
 ENTRY_POINTS = {
     "step",
-    "begin_instruction",
     "fetch_word",
     "account_fetch",
     "read",

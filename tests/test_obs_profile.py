@@ -133,13 +133,7 @@ def test_cached_sram_execution_attributed_to_owner():
 def test_detach_restores_cpu_and_bus():
     system = build_swapram(SOURCE, PLANS["unified"])
     board = system.board
-    bus_entry_points = {
-        "begin_instruction",
-        "fetch_word",
-        "account_fetch",
-        "read",
-        "write",
-    }
+    bus_entry_points = {"fetch_word", "account_fetch", "read", "write"}
     session = TraceSession.attach(system)
     assert "step" in vars(board.cpu)
     assert not bus_entry_points & vars(board.bus).keys()
@@ -198,7 +192,7 @@ def test_swapram_cache_resolver_memo_matches_a_scan_at_every_step():
     class Check:
         steps = 0
 
-        def on_step(self):
+        def on_block(self):
             probe = policy.base + self.steps % (policy.end - policy.base)
             self.steps += 1
             for address in (regs[PC], probe):
@@ -206,6 +200,7 @@ def test_swapram_cache_resolver_memo_matches_a_scan_at_every_step():
                     assert funcmap.resolve(address) == scan(address), address
 
     observe(system.board, Check())
+    system.board.cpu._step_loop = True  # on_block before every step
     system.run()
     assert system.stats.evictions > 100  # the cache thrashed
     assert policy.version > 100
