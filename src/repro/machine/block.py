@@ -10,8 +10,9 @@ fetch or decode, and after :data:`MAX_BLOCK` instructions; whatever no
 block covers runs through ``Cpu.step``.
 
 Each instruction of a block is one closure specialised to its *shape*
--- mnemonic, byte flag, source and destination modes, fetch region --
-with its registers and constants bound in. The closure factories
+-- mnemonic, byte flag, source and destination modes, fetch region,
+whether a data cache is attached -- with its registers and constants
+bound in. The closure factories
 (templates) are generated from the snippets below once per process, one
 per shape on first use; a closure is built per instruction address and
 shared by every block that covers it. Instructions no template covers
@@ -27,12 +28,18 @@ What stays exact, and how:
   it, and the block then stops if the halt port was written or its
   bytes changed -- a store that rewrites a later instruction of the
   running block.
-* Accesses, in order. SRAM data accesses are tallied inline; every
-  other access goes through ``bus.read``/``bus.write``. A FRAM-resident
+* Accesses, in order. SRAM data accesses run inline, and so do aligned
+  FRAM word and any FRAM byte accesses while no data cache is attached:
+  the tally, the FRAM touch count's contention, the FRAM read cache's
+  LRU update with its counts and wait states on a read, and the wait
+  states and line invalidation on a write, as ``Bus.read``/``Bus.write``
+  and :class:`~repro.machine.fram_cache.FramReadCache` do them. Every
+  other access (misaligned, MMIO, unmapped, or one a data cache may
+  cover) goes through ``bus.read``/``bus.write``. A FRAM-resident
   instruction sets the FRAM touch count its fetch leaves and looks up
   the FRAM read cache once per line, in order with its data accesses: a
-  line most recently used in its set is a hit with no LRU change, so
-  only a line that is not costs a call.
+  line most recently used in its set is a hit with no LRU change, and
+  any other line takes the same inline LRU update as a data read.
 * Tallies, at every exit. Fetch words, instruction and cycle counts,
   fetch contention and the FRAM cache's fetch hits are summed per block
   and added when it exits; an early exit or an exception adds the
@@ -82,6 +89,8 @@ _SRAM = RegionKind.SRAM
 _FRAM = RegionKind.FRAM
 _READ_SRAM = READ_BASE + instruction_slot(_APP, _SRAM)
 _WRITE_SRAM = WRITE_BASE + instruction_slot(_APP, _SRAM)
+_READ_FRAM = READ_BASE + instruction_slot(_APP, _FRAM)
+_WRITE_FRAM = WRITE_BASE + instruction_slot(_APP, _FRAM)
 
 _MODES = {
     AddressingMode.REGISTER: "reg",
@@ -98,20 +107,23 @@ _UNARY = frozenset({"RRA", "RRC", "SWPB", "SXT"})
 #
 # Template parameters, bound per instruction: ``regs``, ``bus``,
 # ``data``, ``kinds``, ``counts``, ``read``, ``write`` (the bus's, below
-# the seam), ``miss``, ``ON_FETCH``/``ON_READ``/``ON_WRITE``/``ON_RETIRE``
-# (the seam's handlers) and ``ENV`` from the run environment; ``S``/``X``/``K``/``STEP``
-# (source register, displacement or address, immediate, autoincrement
-# step), ``D``/``Y`` (destination register, displacement or address),
-# ``TARGET``/``NEXT``/``TAKEN`` (jumps), ``AT``/``W``/``KIND``/``CYCLES``
-# (the instruction's pc, words, region and cycles), ``WAYS<i>``/
-# ``TAG<i>``/``ADDR<i>`` (a FRAM fetch's lines), and ``cpu``/``ins``/
-# ``execute`` (the step loop's executor). A closure keeps only the names
-# its body uses.
+# the seam), ``COUNTERS``, ``CACHE`` (the FRAM read cache) with its
+# geometry ``LINES``/``SETS``/``SHIFT``/``ASSOC`` (per-set tag lists, set
+# count, line-size shift, ways), ``WAIT``/``PENALTY`` (FRAM wait states,
+# contention penalty), ``ON_FETCH``/``ON_READ``/``ON_WRITE``/``ON_RETIRE``
+# (the seam's handlers) and ``ENV`` from the run environment;
+# ``S``/``X``/``K``/``STEP`` (source register, displacement or address,
+# immediate, autoincrement step), ``D``/``Y`` (destination register,
+# displacement or address), ``TARGET``/``NEXT``/``TAKEN`` (jumps),
+# ``AT``/``W``/``KIND``/``CYCLES`` (the instruction's pc, words, region
+# and cycles), ``WAYS<i>``/``TAG<i>`` (a FRAM fetch's lines), and
+# ``cpu``/``ins``/``execute`` (the step loop's executor). A closure
+# keeps only the names its body uses.
 
 _PARAMETERS = (
-    "regs bus data kinds counts read write miss ON_FETCH ON_READ ON_WRITE ON_RETIRE "
-    "ENV S X K STEP D Y TARGET NEXT TAKEN AT W KIND CYCLES WAYS0 TAG0 ADDR0 WAYS1 TAG1 "
-    "ADDR1 WAYS2 TAG2 ADDR2 cpu ins execute"
+    "regs bus data kinds counts read write COUNTERS CACHE LINES SETS SHIFT ASSOC WAIT "
+    "PENALTY ON_FETCH ON_READ ON_WRITE ON_RETIRE ENV S X K STEP D Y TARGET NEXT TAKEN "
+    "AT W KIND CYCLES WAYS0 TAG0 WAYS1 TAG1 WAYS2 TAG2 cpu ins execute"
 ).split()
 
 #: Which access handlers a block's instructions call (see
@@ -121,54 +133,122 @@ _Watch = namedtuple("_Watch", "fetch read write retire")
 _TEMPLATES = {}
 
 
-def _load(value, address, byte, watch):
-    """Read *address* into *value*: SRAM inline, anything else by the
-    bus; after the ``on_read`` handler if *watch* says it is handled."""
+def _load(value, address, byte, watch, fram):
+    """Read *address* into *value*: SRAM inline, FRAM too if *fram*,
+    anything else by the bus; after the ``on_read`` handler if *watch*
+    says it is handled."""
     lines = [f"ON_READ({address}, {byte})"] if watch.read else []
-    if byte:
-        return lines + [
-            f"if kinds[{address}] is SRAM:",
-            f"    counts[{_READ_SRAM}] += 1",
-            f"    {value} = data[{address}]",
-            "else:",
-            f"    {value} = read({address}, True)",
-        ]
-    return lines + [
-        f"if kinds[{address}] is SRAM and not {address} & 1:",
-        f"    counts[{_READ_SRAM}] += 1",
-        f"    {value} = data[{address}] | (data[{address} + 1] << 8)",
+    get = f"{value} = data[{address}]"
+    if not byte:
+        get += f" | (data[{address} + 1] << 8)"
+    inline = [
+        f"counts[{_READ_FRAM}] += 1",
+        *_touch(address, "if n:", "    COUNTERS.stall_cycles += PENALTY"),
+        "if g in w:",
+        "    if w[-1] != g:",
+        "        w.remove(g)",
+        "        w.append(g)",
+        "    CACHE.hits += 1",
         "else:",
-        f"    {value} = read({address}, False)",
+        *_indent(_miss("g", "w")),
+        get,
     ]
+    return lines + _dispatch(
+        address,
+        byte,
+        inline if fram else None,
+        [f"counts[{_READ_SRAM}] += 1", get],
+        f"{value} = read({address}, {byte})",
+    )
 
 
-def _store(address, value, byte, watch):
-    """Write *value* to *address*: SRAM inline, anything else by the
-    bus; after the ``on_write`` handler if *watch* says it is handled."""
+def _store(address, value, byte, watch, fram):
+    """Write *value* to *address*: SRAM inline, FRAM too if *fram*,
+    anything else by the bus; after the ``on_write`` handler if *watch*
+    says it is handled."""
     lines = [f"ON_WRITE({address}, {value}, {byte})"] if watch.write else []
     if byte:
-        return lines + [
-            f"if kinds[{address}] is SRAM:",
-            f"    counts[{_WRITE_SRAM}] += 1",
-            f"    data[{address}] = {value}",
-            "else:",
-            f"    write({address}, {value}, True)",
+        put = [f"data[{address}] = {value}"]
+    else:
+        put = [
+            f"data[{address}] = {value} & 0xFF",
+            f"data[{address} + 1] = {value} >> 8",
         ]
-    return lines + [
-        f"if kinds[{address}] is SRAM and not {address} & 1:",
-        f"    counts[{_WRITE_SRAM}] += 1",
-        f"    data[{address}] = {value} & 0xFF",
-        f"    data[{address} + 1] = {value} >> 8",
-        "else:",
-        f"    write({address}, {value}, False)",
+    inline = [
+        f"counts[{_WRITE_FRAM}] += 1",
+        *_touch(address, "COUNTERS.stall_cycles += WAIT + PENALTY if n else WAIT"),
+        "if g in w:",
+        "    w.remove(g)",
+        "    CACHE.invalidates += 1",
+        *put,
     ]
+    return lines + _dispatch(
+        address,
+        byte,
+        inline if fram else None,
+        [f"counts[{_WRITE_SRAM}] += 1", *put],
+        f"write({address}, {value}, {byte})",
+    )
+
+
+def _dispatch(address, byte, fram, sram, other):
+    """Run the *fram* lines for an application FRAM access (unless
+    *fram* is ``None``), the *sram* lines for an SRAM one, and *other*
+    for anything else: misaligned, MMIO, unmapped or, with *fram*
+    ``None``, FRAM."""
+    aligned = "" if byte else f" and not {address} & 1"
+    if fram is None:
+        return [
+            f"if kinds[{address}] is SRAM{aligned}:",
+            *_indent(sram),
+            "else:",
+            "    " + other,
+        ]
+    return [
+        f"k = kinds[{address}]",
+        f"if k is FRAM{aligned}:",
+        *_indent(fram),
+        f"elif k is SRAM{aligned}:",
+        *_indent(sram),
+        "else:",
+        "    " + other,
+    ]
+
+
+def _touch(address, *stall):
+    """``Bus._fram_*_timing`` up to the FRAM read cache: the *stall*
+    lines charge it from ``n``, the FRAM touches before this one; leaves
+    the line's tag in ``g`` and its set in ``w``."""
+    return [
+        "n = bus._fram_touches",
+        "bus._fram_touches = n + 1",
+        *stall,
+        f"g = {address} >> SHIFT",
+        "w = LINES[g % SETS]",
+    ]
+
+
+def _miss(tag, ways):
+    """A FRAM read cache miss on line *tag* of set *ways*: fill it,
+    evicting the least recently used line, and pay the wait states."""
+    return [
+        "CACHE.misses += 1",
+        f"{ways}.append({tag})",
+        f"if len({ways}) > ASSOC:",
+        f"    del {ways}[0]",
+        "COUNTERS.stall_cycles += WAIT",
+    ]
+
+
+def _indent(lines):
+    return ["    " + line for line in lines]
 
 
 def _write_register(value):
     return [f"regs[D] = {value}"]
 
 
-def _source(mode, byte, watch):
+def _source(mode, byte, watch, fram):
     """Evaluate the source operand into ``s``, as ``Cpu._read_source``."""
     if mode == "reg":
         return [f"s = regs[S] & {0xFF if byte else 0xFFFF:#x}"]
@@ -180,7 +260,7 @@ def _source(mode, byte, watch):
         "ind": "regs[S] & 0xFFFF",
         "inc": "regs[S] & 0xFFFF",
     }[mode]
-    lines = [f"a = {address}", *_load("s", "a", byte, watch)]
+    lines = [f"a = {address}", *_load("s", "a", byte, watch, fram)]
     if mode == "inc":
         lines.append("regs[S] = (regs[S] + STEP) & 0xFFFF")
     return lines
@@ -199,18 +279,18 @@ def _flags(msb, carry, overflow=None):
     return ["regs[2] = " + " | ".join(parts)]
 
 
-def _binary(name, byte, src, dst, watch):
+def _binary(name, byte, src, dst, watch, fram):
     """A Format I instruction, in the step loop's order of effects."""
     mask, msb = (0xFF, 0x80) if byte else (0xFFFF, 0x8000)
     lines = ["c = regs[2] & 1"] if name in ("ADDC", "SUBC") else []
-    lines += _source(src, byte, watch)
+    lines += _source(src, byte, watch, fram)
     if dst == "reg":
         read_dest = [f"d = regs[D] & {mask:#x}"]
         write = _write_register
     else:
         lines.append("b = (regs[D] + Y) & 0xFFFF" if dst == "idx" else "b = Y")
-        read_dest = _load("d", "b", byte, watch)
-        write = partial(_store, "b", byte=byte, watch=watch)
+        read_dest = _load("d", "b", byte, watch, fram)
+        write = partial(_store, "b", byte=byte, watch=watch, fram=fram)
     if name == "MOV":
         return lines + write("s")
     lines += read_dest
@@ -252,15 +332,15 @@ def _unary(name, byte):
     return lines + ["regs[S] = r"]
 
 
-def _body(kind, name, byte, src, dst, watch):
+def _body(kind, name, byte, src, dst, watch, fram):
     if kind == "binary":
-        return _binary(name, byte, src, dst, watch)
+        return _binary(name, byte, src, dst, watch, fram)
     if kind == "unary":
         return _unary(name, byte)
     if kind == "push":
-        lines = _source(src, byte, watch)
+        lines = _source(src, byte, watch, fram)
         lines += ["b = (regs[1] - 2) & 0xFFFF", "regs[1] = b"]
-        return lines + _store("b", "s", False, watch)
+        return lines + _store("b", "s", False, watch, fram)
     if kind == "jump":
         if name == "JMP":
             return ["regs[0] = TARGET"]
@@ -283,9 +363,15 @@ def _prologue(fetch):
         return ["bus._fram_touches = 0"]
     lines = ["bus._fram_touches = W"]
     for line in range(fetch):
+        ways, tag = f"WAYS{line}", f"TAG{line}"
         lines += [
-            f"if not WAYS{line} or WAYS{line}[-1] != TAG{line}:",
-            f"    miss(ADDR{line})",
+            f"if not {ways} or {ways}[-1] != {tag}:",
+            f"    if {tag} in {ways}:",
+            f"        {ways}.remove({tag})",
+            f"        {ways}.append({tag})",
+            "    else:",
+            "        CACHE.hits -= 1  # the block counts every fetch word as a hit",
+            *_indent(_indent(_miss(tag, ways))),
         ]
     return lines
 
@@ -294,11 +380,11 @@ def _template(shape):
     """The closure factory for *shape*, generated on first use."""
     factory = _TEMPLATES.get(shape)
     if factory is None:
-        kind, name, byte, src, dst, fetch, check, watch, synced = shape
+        kind, name, byte, src, dst, fetch, check, watch, synced, fram = shape
         body = ["ENV.at = AT"] if synced else []
         if watch.fetch:
             body.append("ON_FETCH(AT, W)")
-        body += _prologue(fetch) + _body(kind, name, byte, src, dst, watch)
+        body += _prologue(fetch) + _body(kind, name, byte, src, dst, watch, fram)
         if watch.retire:
             body.append("ON_RETIRE(APP, KIND, CYCLES)")
         if check:
@@ -311,7 +397,7 @@ def _template(shape):
                 "    return op",
             ]
         )
-        namespace = {"SRAM": _SRAM, "APP": _APP}
+        namespace = {"SRAM": _SRAM, "FRAM": _FRAM, "APP": _APP}
         exec(compile(source, f"<block template {shape}>", "exec"), namespace)
         factory = _TEMPLATES[shape] = namespace["make"]
     return factory
@@ -325,11 +411,11 @@ class _Entry:
 
     __slots__ = ("op", "instruction", "length", "cycles", "memory", "ends")
 
-    def __init__(self, op, instruction, length, memory, ends):
+    def __init__(self, op, instruction, length, cycles, memory, ends):
         self.op = op
         self.instruction = instruction
         self.length = length
-        self.cycles = instruction_cycles(instruction)
+        self.cycles = cycles
         self.memory = memory
         #: Whether a block ends after this instruction.
         self.ends = ends
@@ -380,7 +466,7 @@ def _kind(instruction):
     return "push" if name == "PUSH" else "generic"
 
 
-def _compile(env, pc, instruction, length, kind):
+def _compile(env, pc, instruction, length, kind, cycles):
     """The closure for *instruction* at *pc*; returns ``(op, memory)``,
     *memory* telling whether the instruction may access data memory."""
     shape_kind = _kind(instruction)
@@ -394,7 +480,7 @@ def _compile(env, pc, instruction, length, kind):
         "AT": pc,
         "W": length >> 1,
         "KIND": kind,
-        "CYCLES": instruction_cycles(instruction),
+        "CYCLES": cycles,
     }
     if shape_kind == "jump":
         memory = writes = False
@@ -429,7 +515,9 @@ def _compile(env, pc, instruction, length, kind):
     fetch = env.fetch(values, pc, length, kind, memory)
     check = writes or (memory and env.data_cache)
     synced = memory and env.synced
-    shape = (shape_kind, name, byte, source, dest, fetch, check, env.watch, synced)
+    fram = memory and not env.data_cache
+    watch = env.watch
+    shape = (shape_kind, name, byte, source, dest, fetch, check, watch, synced, fram)
     op = _template(shape)(**env.bound, **values)
     return op, memory
 
@@ -464,15 +552,6 @@ class _Environment:
         self.block = None
         self.at = None
         self.penalty = bus.contention_penalty
-        access = fram_cache.access
-        wait = bus.wait_states
-
-        def miss(address):
-            # The block added this word as a hit; access() recounts it.
-            fram_cache.hits -= 1
-            if not access(address):
-                counters.stall_cycles += wait
-
         self.bound = {
             "regs": cpu.regs,
             "bus": bus,
@@ -482,7 +561,16 @@ class _Environment:
             # The bus below the seam: a block calls the handlers itself.
             "read": getattr(bus.read, "unobserved", bus.read),
             "write": getattr(bus.write, "unobserved", bus.write),
-            "miss": miss,
+            # FRAM timing and the FRAM read cache, for the inline FRAM
+            # accesses and fetch lookups.
+            "COUNTERS": counters,
+            "CACHE": fram_cache,
+            "LINES": fram_cache._lines,
+            "SETS": fram_cache.sets,
+            "SHIFT": fram_cache.line_bytes.bit_length() - 1,
+            "ASSOC": fram_cache.ways,
+            "WAIT": bus.wait_states,
+            "PENALTY": self.penalty,
             "ON_FETCH": handlers.get("on_fetch"),
             "ON_READ": handlers.get("on_read"),
             "ON_WRITE": handlers.get("on_write"),
@@ -499,12 +587,11 @@ class _Environment:
         tags = []
         for address in range(pc, pc + length, 2):
             tag = address // fram_cache.line_bytes
-            if not tags or tags[-1][0] != tag:
-                tags.append((tag, address))
-        for index, (tag, address) in enumerate(tags):
+            if not tags or tags[-1] != tag:
+                tags.append(tag)
+        for index, tag in enumerate(tags):
             values[f"WAYS{index}"] = lines[tag % fram_cache.sets]
             values[f"TAG{index}"] = tag
-            values[f"ADDR{index}"] = address
         return len(tags)
 
 
@@ -591,11 +678,13 @@ def _entry(env, data, kinds, pc, kind):
         if any(kinds[address] is not kind for address in range(pc, end)):
             return None
         instruction, _ = decode_instruction(env.cpu.bus.memory.read_word, pc)
-        op, memory = _compile(env, pc, instruction, length, kind)
+        cycles = instruction_cycles(instruction)
+        op, memory = _compile(env, pc, instruction, length, kind, cycles)
         ends = instruction.writes_pc() or (
             env.enter is not None and _raises_sp(instruction)
         )
-        entry = env.cpu._entries[key] = _Entry(op, instruction, length, memory, ends)
+        entry = _Entry(op, instruction, length, cycles, memory, ends)
+        env.cpu._entries[key] = entry
     return entry
 
 

@@ -20,7 +20,9 @@ from repro.bench import QUICK_NAMES, get_benchmark
 from repro.difftest import generate_program
 from repro.isa.registers import PC, SP
 from repro.machine import RunawayError, SimulationError, fr2355_board
+from repro.machine.bus import Bus
 from repro.machine.cpu import Cpu
+from repro.machine.fram_cache import FramReadCache
 from repro.machine.memory import RegionKind
 from repro.machine.observe import observe
 from repro.machine.tracelog import TraceLog
@@ -502,3 +504,175 @@ def test_power_cycle_drops_the_block_cache():
     )
     halting.run()
     assert halting.cpu._blocks == {} and halting.cpu._entries == {}
+
+
+# -- inline FRAM accesses -------------------------------------------------------------
+
+
+def test_fram_byte_load_and_store():
+    error, board = assert_same(
+        both_ways(
+            """
+            .func __start
+                MOV #0x3000, SP
+                MOV #0x9801, R5
+                MOV.B #0x5A, 0(R5)   ; byte store to an odd FRAM address
+                MOV.B #0xA5, &0x9800
+                MOV.B @R5, R6        ; byte loads, odd and even
+                MOV.B &0x9800, R7
+                ADD.B R7, 0(R5)      ; byte read-modify-write
+                MOV.B @R5+, R12
+                MOV R12, &0x0200
+                MOV R6, &0x0200
+                MOV #1, &0x0202
+            .endfunc
+            """
+        )
+    )
+    assert error is None
+    assert board.bus.debug_words == [(0x5A + 0xA5) & 0xFF, 0x5A]
+    assert board.memory.data[0x9800:0x9802] == bytes([0xA5, 0xFF])
+
+
+@pytest.mark.parametrize(
+    "access, message",
+    [
+        ("MOV @R5, R6", "misaligned word read"),
+        ("MOV R6, 0(R5)", "misaligned word write"),
+    ],
+    ids=["load", "store"],
+)
+def test_misaligned_fram_word_access_mid_block(access, message):
+    error, board = assert_same(
+        both_ways(
+            f"""
+            .func __start
+                MOV #0x3000, SP
+                MOV &0x9800, R6      ; an aligned FRAM load first
+                MOV #0x9801, R5
+                {access}
+                MOV #1, &0x0202
+            .endfunc
+            """
+        )
+    )
+    assert f"{message} at 0x9801" in str(error)
+    assert board.cpu.instructions_retired == 3
+
+
+def test_store_to_a_cached_fram_line_then_fetch_from_it():
+    # Each pass loads a word of the code below (caching its line),
+    # stores it back (dropping the line) and then fetches from that
+    # line; the data line at 0x9800 is loaded, stored and loaded again.
+    error, board = assert_same(
+        both_ways(
+            """
+            .func __start
+                MOV #0x3000, SP
+                MOV #3, R7
+            again:
+                MOV &patch, R6
+                MOV R6, &patch
+            patch:
+                ADD #1, R8
+                MOV &0x9800, R9
+                MOV R8, &0x9802
+                ADD &0x9800, R9
+                SUB #1, R7
+                JNZ again
+                MOV R8, &0x0200
+                MOV #1, &0x0202
+            .endfunc
+            """
+        )
+    )
+    assert error is None
+    assert board.bus.debug_words == [3]
+    assert board.bus.fram_cache.invalidates >= 6
+
+
+#: FRAM read cache geometries (sets, ways, line bytes) and clock rates
+#: (wait states 0, 1 and 3) beside the defaults.
+FRAM_TIMINGS = [
+    ((4, 2, 8), 24),
+    ((2, 4, 16), 24),
+    (None, 8),
+    (None, 16),
+    (None, 24),
+]
+
+
+@pytest.mark.parametrize(
+    "geometry, mhz",
+    FRAM_TIMINGS,
+    ids=[
+        f"{'x'.join(map(str, geometry or ('default',)))}-{mhz}MHz"
+        for geometry, mhz in FRAM_TIMINGS
+    ],
+)
+def test_block_path_matches_step_loop_under_fram_timings(geometry, mhz):
+    programs = [("crc", get_benchmark("crc").source)]
+    for seed in (0, 1):
+        programs.append((f"dt{seed}", generate_program(seed, "small").render()))
+    for name in ("baseline", "swapram"):
+        for program, source in programs:
+            runs = []
+            for step_loop in (False, True):
+                system = systems.build(name, source, PLANS["unified"], mhz)
+                if geometry is not None:
+                    system.board.bus.fram_cache = FramReadCache(*geometry)
+                if step_loop:
+                    reference(system.board)
+                system.run()
+                runs.append(observables(system))
+            key = first_divergence(*runs)
+            assert key is None, f"{name} on {program}: {key} diverges first"
+
+
+def test_fram_data_accesses_stay_off_the_bus_call_chain(monkeypatch):
+    # Code, data and stack in FRAM, and only instructions blocks run
+    # themselves (no CALL, whose executor is the step loop's): with no
+    # data cache, every FRAM data access and every fetch-line lookup
+    # runs inline. Its data evicts the loop's code lines, so fetches miss.
+    source = """
+        .func __start
+            MOV #0xA000, SP
+            MOV #0x9800, R5
+            MOV #20, R7
+        again:
+            MOV @R5+, R6
+            ADD R6, &0x9900
+            MOV.B R6, 0x100(R5)
+            PUSH R6
+            ADD.B @R5, R8
+            MOV 0x40(R5), R9
+            SUB #1, R7
+            JNZ again
+            MOV R8, &0x0200
+            MOV #1, &0x0202
+        .endfunc
+    """
+    calls = {"read": 0, "write": 0, "access": 0, "invalidate": 0}
+
+    def spy(cls, name):
+        original = getattr(cls, name)
+
+        def counted(self, address=None, *args, **kwargs):
+            if cls is FramReadCache or self._kinds[address] is RegionKind.FRAM:
+                calls[name] += 1
+            return original(self, address, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls, name in ((Bus, "read"), (Bus, "write")):
+        spy(cls, name)
+    for name in ("access", "invalidate"):
+        spy(FramReadCache, name)
+    board = _board(source)
+    board.cpu.run()
+    fram_cache = board.bus.fram_cache
+    assert fram_cache.misses > 0 and fram_cache.invalidates > 0
+    assert calls == {"read": 0, "write": 0, "access": 0, "invalidate": 0}
+    monkeypatch.undo()
+    error, block = assert_same(both_ways(source))
+    assert error is None and block.bus.fram_cache.as_dict() == fram_cache.as_dict()

@@ -3,7 +3,9 @@
 The observation seam (``repro.machine.observe``) rebuilds the machine's
 entry points from the board's subscriber set, so no combination or
 order of observers may change what any of them records -- or what the
-machine does.
+machine does. The power fuses keep a run on the step loop, so the
+orders are checked twice: with the fuses, on the step loop, and
+without them, on the block path against the step loop.
 """
 
 from itertools import permutations
@@ -13,6 +15,7 @@ import pytest
 from repro import systems
 from repro.core import build_swapram
 from repro.machine import install_fused_counters
+from repro.machine.cpu import Cpu
 from repro.machine.observe import observe, unobserve
 from repro.machine.tracelog import TraceLog
 from repro.metrics import MetricsSession
@@ -60,11 +63,13 @@ DETACH = {
 }
 
 
-def _observed_run(order, reverse_detach):
+def _observed_run(order, reverse_detach, step_loop=False):
     system = build_swapram(SOURCE, PLANS["unified"])
     board = system.board
     hooks = dict(board.cpu.hooks)
     observers = {name: ATTACH[name](system) for name in order}
+    if step_loop:
+        board.cpu._step_loop = True
     result = system.run()
     for name in reversed(order) if reverse_detach else order:
         DETACH[name](observers[name], result)
@@ -103,3 +108,31 @@ def test_every_attach_order_observes_the_same_run(reverse_detach):
     assert reference["log"] and reference["records"] and reference["timeline"]
     for order in orders[1:]:
         assert _observed_run(order, reverse_detach) == reference, order
+
+
+@pytest.mark.parametrize("reverse_detach", [False, True], ids=["fifo", "lifo"])
+def test_every_attach_order_observes_the_same_run_on_the_block_path(
+    reverse_detach, monkeypatch
+):
+    steps = [0]
+    step = Cpu.step
+
+    def counted(cpu):
+        steps[0] += 1
+        return step(cpu)
+
+    monkeypatch.setattr(Cpu, "step", counted)
+    plain = build_swapram(SOURCE, PLANS["unified"])
+    unobserved = plain.run().as_dict()
+    retired = plain.board.cpu.instructions_retired
+    orders = list(permutations(name for name in ATTACH if name != "fuses"))
+    steps[0] = 0
+    reference = _observed_run(orders[0], reverse_detach, step_loop=True)
+    assert steps[0] >= retired
+    assert reference["result"] == unobserved
+    assert reference["log"] and reference["records"] and reference["timeline"]
+    for order in orders:
+        steps[0] = 0
+        observed = _observed_run(order, reverse_detach)
+        assert steps[0] < retired, order  # the block path ran
+        assert observed == reference, order
