@@ -12,12 +12,22 @@ block covers runs through ``Cpu.step``.
 Each instruction of a block is one closure specialised to its *shape*
 -- mnemonic, byte flag, source and destination modes, fetch region,
 whether a data cache is attached -- with its registers and constants
-bound in. The closure factories
-(templates) are generated from the snippets below once per process, one
-per shape on first use; a closure is built per instruction address and
-shared by every block that covers it. Instructions no template covers
-(DADD, RETI, CALL, operands that read the PC, unary operations on
-memory) run the step loop's own executor.
+bound in. The closure factories (templates) are generated from the
+snippets below once per process, one per shape on first use.
+Instructions no template covers (DADD, RETI, CALL, operands that read
+the PC, unary operations on memory) run the step loop's own executor.
+
+Building a block pays for each distinct encoding once per process, not
+once per address per board. :data:`_ENCODINGS`, keyed by the code bytes
+(and the pc too for an encoding that reads it: a jump, a symbolic
+operand), holds the decoded instruction, its cycles and everything its
+closure needs that does not depend on the address or the board. Each
+template is two factories deep: a board's environment binds the outer
+one once per shape, and compiling an instruction at an address only
+passes the encoding's constants, its pc, region and FRAM fetch lines
+to the inner one. A board keeps its closures by address and bytes, so
+code that comes back to an address is bound once per board. The step
+loop never reads the table; it stays the independent reference.
 
 What stays exact, and how:
 
@@ -105,26 +115,30 @@ _UNARY = frozenset({"RRA", "RRC", "SWPB", "SXT"})
 
 # -- templates ------------------------------------------------------------------
 #
-# Template parameters, bound per instruction: ``regs``, ``bus``,
+# A template is two factories deep. The outer one takes the run
+# environment, bound once per shape per environment: ``regs``, ``bus``,
 # ``data``, ``kinds``, ``counts``, ``read``, ``write`` (the bus's, below
 # the seam), ``COUNTERS``, ``CACHE`` (the FRAM read cache) with its
 # geometry ``LINES``/``SETS``/``SHIFT``/``ASSOC`` (per-set tag lists, set
 # count, line-size shift, ways), ``WAIT``/``PENALTY`` (FRAM wait states,
 # contention penalty), ``ON_FETCH``/``ON_READ``/``ON_WRITE``/``ON_RETIRE``
-# (the seam's handlers) and ``ENV`` from the run environment;
-# ``S``/``X``/``K``/``STEP`` (source register, displacement or address,
-# immediate, autoincrement step), ``D``/``Y`` (destination register,
-# displacement or address), ``TARGET``/``NEXT``/``TAKEN`` (jumps),
-# ``AT``/``W``/``KIND``/``CYCLES`` (the instruction's pc, words, region
-# and cycles), ``WAYS<i>``/``TAG<i>`` (a FRAM fetch's lines), and
-# ``cpu``/``ins``/``execute`` (the step loop's executor). A closure
-# keeps only the names its body uses.
+# (the seam's handlers), ``ENV`` and ``cpu``. The inner one takes one
+# instruction's constants, in the order of :data:`_ENCODED` and
+# :data:`_PLACED`: from its encoding ``S``/``X``/``K``/``STEP``
+# (source register, displacement or address, immediate, autoincrement
+# step), ``D``/``Y`` (destination register, displacement or address),
+# ``TARGET``/``TAKEN`` (jumps), ``W``/``CYCLES`` (words and cycles) and
+# ``ins``/``execute`` (the step loop's executor); from its address
+# ``NEXT``/``AT``/``KIND`` (the next pc, its pc and region) and
+# ``WAYS<i>``/``TAG<i>`` (a FRAM fetch's lines). A closure keeps only
+# the names its body uses.
 
-_PARAMETERS = (
+_ENVIRONMENT = (
     "regs bus data kinds counts read write COUNTERS CACHE LINES SETS SHIFT ASSOC WAIT "
-    "PENALTY ON_FETCH ON_READ ON_WRITE ON_RETIRE ENV S X K STEP D Y TARGET NEXT TAKEN "
-    "AT W KIND CYCLES WAYS0 TAG0 WAYS1 TAG1 WAYS2 TAG2 cpu ins execute"
+    "PENALTY ON_FETCH ON_READ ON_WRITE ON_RETIRE ENV cpu"
 ).split()
+_ENCODED = "S X K STEP D Y TARGET TAKEN W CYCLES ins execute".split()
+_PLACED = "NEXT AT KIND WAYS0 TAG0 WAYS1 TAG1 WAYS2 TAG2".split()
 
 #: Which access handlers a block's instructions call (see
 #: :mod:`repro.machine.observe`).
@@ -377,7 +391,7 @@ def _prologue(fetch):
 
 
 def _template(shape):
-    """The closure factory for *shape*, generated on first use."""
+    """The two-level closure factory for *shape*, generated on first use."""
     factory = _TEMPLATES.get(shape)
     if factory is None:
         kind, name, byte, src, dst, fetch, check, watch, synced, fram = shape
@@ -391,10 +405,12 @@ def _template(shape):
             body.append("return True")
         source = "\n".join(
             [
-                f"def make({', '.join(p + '=None' for p in _PARAMETERS)}):",
-                "    def op():",
-                *("        " + line for line in body),
-                "    return op",
+                f"def make({', '.join(p + '=None' for p in _ENVIRONMENT)}):",
+                f"    def bind({', '.join(p + '=None' for p in _ENCODED + _PLACED)}):",
+                "        def op():",
+                *("            " + line for line in body),
+                "        return op",
+                "    return bind",
             ]
         )
         namespace = {"SRAM": _SRAM, "FRAM": _FRAM, "APP": _APP}
@@ -403,22 +419,51 @@ def _template(shape):
     return factory
 
 
-# -- one instruction ---------------------------------------------------------------
+# -- one encoding -------------------------------------------------------------------
 
 
-class _Entry:
-    """One compiled instruction, shared by every block that covers it."""
+#: One instruction encoding, decoded and analysed once per process: what
+#: does not depend on where it sits or on the board.
+_Encoding = namedtuple(
+    "_Encoding", "instruction length cycles shape constants memory transfer raises_sp"
+)
 
-    __slots__ = ("op", "instruction", "length", "cycles", "memory", "ends")
 
-    def __init__(self, op, instruction, length, cycles, memory, ends):
-        self.op = op
-        self.instruction = instruction
-        self.length = length
-        self.cycles = cycles
-        self.memory = memory
-        #: Whether a block ends after this instruction.
-        self.ends = ends
+#: Analysed encodings by code bytes, or by ``(pc, bytes)`` for one that
+#: reads the pc (a jump, a symbolic operand). The step loop never reads
+#: it; tests that patch the decoder, the executors or the cycle tables
+#: clear it (:func:`_clear`).
+_ENCODINGS = {}
+
+#: Entries :data:`_ENCODINGS` holds before it starts over, so the
+#: pc-keyed encodings of many programs cannot grow it without end.
+_ENCODING_ENTRIES = 4096
+
+#: ``(length in bytes, reads the pc)`` by opcode word, length 0 if it
+#: is illegal; both depend on the opcode word alone.
+_OPCODES = {}
+
+
+def _clear():
+    """Forget every analysed encoding and opcode."""
+    _ENCODINGS.clear()
+    _OPCODES.clear()
+
+
+def _opcode(opcode):
+    """Analyse *opcode* into :data:`_OPCODES`; returns its entry."""
+    try:
+        instruction, length = decode_instruction(lambda address: opcode, 0)
+    except EncodingError:
+        info = (0, False)
+    else:
+        relative = instruction.mnemonic in JUMP_CONDITIONS or any(
+            operand is not None and operand.mode is AddressingMode.SYMBOLIC
+            for operand in (instruction.src, instruction.dst)
+        )
+        info = (length, relative)
+    _OPCODES[opcode] = info
+    return info
 
 
 def _raises_sp(instruction):
@@ -466,32 +511,30 @@ def _kind(instruction):
     return "push" if name == "PUSH" else "generic"
 
 
-def _compile(env, pc, instruction, length, kind, cycles):
-    """The closure for *instruction* at *pc*; returns ``(op, memory)``,
-    *memory* telling whether the instruction may access data memory."""
-    shape_kind = _kind(instruction)
+def _analyse(code, pc, key):
+    """Decode and analyse the instruction *code* at *pc*, and keep it in
+    :data:`_ENCODINGS` under *key*."""
+    instruction, length = decode_instruction(
+        lambda address: code[address - pc] | (code[address - pc + 1] << 8), pc
+    )
+    family = _kind(instruction)
     name = instruction.mnemonic
     src, dst = instruction.src, instruction.dst
     byte = instruction.byte
     source = _MODES[src.mode] if src is not None else None
     dest = _MODES[dst.mode] if dst is not None else None
-    values = {
-        "NEXT": (pc + length) & 0xFFFF,
-        "AT": pc,
-        "W": length >> 1,
-        "KIND": kind,
-        "CYCLES": cycles,
-    }
-    if shape_kind == "jump":
+    cycles = instruction_cycles(instruction)
+    values = {"W": length >> 1, "CYCLES": cycles}
+    if family == "jump":
         memory = writes = False
         values.update(TARGET=instruction.target & 0xFFFF, TAKEN=_JUMP_TAKEN[name])
         # The condition is bound in (TAKEN): conditional jumps share one.
         name = "JMP" if name == "JMP" else "J"
-    elif shape_kind == "generic":
+    elif family == "generic":
         memory = writes = True
-        values.update(cpu=env.cpu, ins=instruction, execute=_EXECUTORS[name])
+        values.update(ins=instruction, execute=_EXECUTORS[name])
         name = byte = source = dest = None
-    elif shape_kind == "unary":
+    elif family == "unary":
         memory = writes = False
         values["S"] = src.register
         source = None
@@ -503,7 +546,7 @@ def _compile(env, pc, instruction, length, kind, cycles):
             K=src.value & 0xFFFF & mask if source == "imm" else None,
             STEP=2 if not byte or src.register in (PC, SP) else 1,
         )
-        if shape_kind == "push":
+        if family == "push":
             memory = writes = True
         else:
             values.update(
@@ -512,14 +555,53 @@ def _compile(env, pc, instruction, length, kind, cycles):
             )
             memory = src.mode in MEMORY_MODES or dst.mode in MEMORY_MODES
             writes = dst.mode in MEMORY_MODES and name not in ("CMP", "BIT")
-    fetch = env.fetch(values, pc, length, kind, memory)
-    check = writes or (memory and env.data_cache)
-    synced = memory and env.synced
-    fram = memory and not env.data_cache
-    watch = env.watch
-    shape = (shape_kind, name, byte, source, dest, fetch, check, watch, synced, fram)
-    op = _template(shape)(**env.bound, **values)
-    return op, memory
+    encoding = _Encoding(
+        instruction,
+        length,
+        cycles,
+        (family, name, byte, source, dest, memory, writes),
+        tuple(map(values.get, _ENCODED)),
+        memory,
+        instruction.writes_pc(),
+        _raises_sp(instruction),
+    )
+    if len(_ENCODINGS) >= _ENCODING_ENTRIES:
+        _ENCODINGS.clear()
+    _ENCODINGS[key] = encoding
+    return encoding
+
+
+# -- one instruction ---------------------------------------------------------------
+
+
+def _compile(env, code, pc, end, kind, relative):
+    """The closure for the instruction *code* at *pc*, in region *kind*,
+    and its encoding; ``None`` if its words straddle a region change."""
+    length = end - pc
+    if env.kinds[pc:end].count(kind) != length:
+        return None
+    key = (pc, code) if relative else code
+    encoding = _ENCODINGS.get(key)
+    if encoding is None:
+        encoding = _analyse(code, pc, key)
+    if kind is _FRAM:
+        # The FRAM read cache lines the fetch spans, with their sets.
+        tag = pc >> env.shift
+        last = (end - 2) >> env.shift
+        fetch = last - tag + 1
+        ways, sets = env.ways, env.sets
+        lines = ()
+        while tag <= last:
+            lines += (ways[tag % sets], tag)
+            tag += 1
+    else:
+        fetch = 0 if encoding.memory else None
+        lines = ()
+    key = (encoding.shape, fetch)
+    bind = env.makers.get(key)
+    if bind is None:
+        bind = env.maker(key)
+    return bind(*encoding.constants, end & 0xFFFF, pc, kind, *lines), encoding
 
 
 # -- the run environment --------------------------------------------------------------
@@ -536,6 +618,7 @@ class _Environment:
         self.counters = counters = bus.counters
         self.fram_cache = fram_cache = bus.fram_cache
         self.data_cache = bus.data_cache is not None
+        self.kinds = bus._kinds
         # Only ``install`` changes the subscribers, and it drops this
         # environment.
         board = bus.board
@@ -552,6 +635,13 @@ class _Environment:
         self.block = None
         self.at = None
         self.penalty = bus.contention_penalty
+        # The FRAM read cache's geometry, for fetch lines.
+        self.ways = fram_cache._lines
+        self.sets = fram_cache.sets
+        self.shift = fram_cache.line_bytes.bit_length() - 1
+        #: Inner factories by ``(encoding shape, fetch)``: the templates
+        #: with this environment bound in.
+        self.makers = {}
         self.bound = {
             "regs": cpu.regs,
             "bus": bus,
@@ -567,7 +657,7 @@ class _Environment:
             "CACHE": fram_cache,
             "LINES": fram_cache._lines,
             "SETS": fram_cache.sets,
-            "SHIFT": fram_cache.line_bytes.bit_length() - 1,
+            "SHIFT": self.shift,
             "ASSOC": fram_cache.ways,
             "WAIT": bus.wait_states,
             "PENALTY": self.penalty,
@@ -576,23 +666,21 @@ class _Environment:
             "ON_WRITE": handlers.get("on_write"),
             "ON_RETIRE": handlers.get("on_retire"),
             "ENV": self,
+            "cpu": cpu,
         }
 
-    def fetch(self, values, pc, length, kind, memory):
-        """The fetch prologue of an instruction (see :func:`_prologue`)."""
-        if kind is not _FRAM:
-            return 0 if memory else None
-        fram_cache = self.fram_cache
-        lines = fram_cache._lines
-        tags = []
-        for address in range(pc, pc + length, 2):
-            tag = address // fram_cache.line_bytes
-            if not tags or tags[-1] != tag:
-                tags.append(tag)
-        for index, tag in enumerate(tags):
-            values[f"WAYS{index}"] = lines[tag % fram_cache.sets]
-            values[f"TAG{index}"] = tag
-        return len(tags)
+    def maker(self, key):
+        """The inner factory for *key*, ``(encoding shape, fetch)``; *fetch*
+        is as :func:`_prologue` takes it."""
+        (family, name, byte, source, dest, memory, writes), fetch = key
+        check = writes or (memory and self.data_cache)
+        synced = memory and self.synced
+        fram = memory and not self.data_cache
+        shape = (
+            family, name, byte, source, dest, fetch, check, self.watch, synced, fram
+        )
+        bind = self.makers[key] = _template(shape)(**self.bound)
+        return bind
 
 
 def _context(cpu):
@@ -631,7 +719,7 @@ class _Block:
         "snapshot",
         "ops",
         "count",
-        "entries",
+        "encodings",
         "pcs",
         "slot",
         "words",
@@ -645,51 +733,13 @@ class _Block:
     )
 
 
-#: Instruction length in bytes by opcode word (0: illegal); the length
-#: depends on the opcode word alone.
-_LENGTHS = {}
-
-
-def _length(opcode):
-    length = _LENGTHS.get(opcode)
-    if length is None:
-        try:
-            _, length = decode_instruction(lambda address: opcode, 0)
-        except EncodingError:
-            length = 0
-        _LENGTHS[opcode] = length
-    return length
-
-
-def _entry(env, data, kinds, pc, kind):
-    """The compiled instruction at *pc*, or ``None`` if a block must stop.
-
-    Entries are kept by address and bytes, so code that comes back to
-    an address -- a function recopied into its old cache slot, a block
-    chained and unchained -- is compiled once.
-    """
-    length = _length(data[pc] | (data[pc + 1] << 8))
-    end = pc + length
-    if not length or end > 0x10000:
-        return None
-    key = (pc, bytes(data[pc:end]))
-    entry = env.cpu._entries.get(key)
-    if entry is None:
-        if any(kinds[address] is not kind for address in range(pc, end)):
-            return None
-        instruction, _ = decode_instruction(env.cpu.bus.memory.read_word, pc)
-        cycles = instruction_cycles(instruction)
-        op, memory = _compile(env, pc, instruction, length, kind, cycles)
-        ends = instruction.writes_pc() or (
-            env.enter is not None and _raises_sp(instruction)
-        )
-        entry = _Entry(op, instruction, length, cycles, memory, ends)
-        env.cpu._entries[key] = entry
-    return entry
-
-
 def _build(cpu, env, start):
-    """Compile the block entered at *start*, or ``None`` if none can be."""
+    """Compile the block entered at *start*, or ``None`` if none can be.
+
+    Compiled instructions are kept by address and bytes, so code that
+    comes back to an address -- a function recopied into its old cache
+    slot, a block chained and unchained -- is bound once per board.
+    """
     bus = cpu.bus
     kinds = bus._kinds
     data = bus.memory.data
@@ -697,42 +747,60 @@ def _build(cpu, env, start):
     if start & 1 or (kind is not _SRAM and kind is not _FRAM):
         return None
     hooks = cpu.hooks
-    entries = []
+    compiled = cpu._entries
+    enter = env.enter
+    ops = []
+    encodings = []
     pcs = []
+    count = cycles = 0
     pc = start
-    while len(entries) < MAX_BLOCK and pc < 0x10000:
+    while count < MAX_BLOCK and pc < 0x10000:
         if (pc != start and pc in hooks) or kinds[pc] is not kind:
             break
-        entry = _entry(env, data, kinds, pc, kind)
+        opcode = data[pc] | (data[pc + 1] << 8)
+        length, relative = _OPCODES.get(opcode) or _opcode(opcode)
+        end = pc + length
+        if not length or end > 0x10000:
+            break
+        code = bytes(data[pc:end])
+        key = (pc, code)
+        entry = compiled.get(key)
         if entry is None:
-            break
-        entries.append(entry)
+            entry = _compile(env, code, pc, end, kind, relative)
+            if entry is None:
+                break
+            compiled[key] = entry
+        op, encoding = entry
+        ops.append(op)
+        encodings.append(encoding)
         pcs.append(pc)
-        pc += entry.length
-        if entry.ends:
+        count += 1
+        cycles += encoding.cycles
+        pc = end
+        if encoding.transfer or (enter is not None and encoding.raises_sp):
             break
-    if not entries:
+    if not count:
         return None
     block = _Block()
     block.start = start
     block.end = pc
     block.snapshot = bytes(data[start:pc])
-    block.ops = tuple(entry.op for entry in entries)
-    block.count = len(entries)
-    block.entries = tuple(entries)
+    block.ops = tuple(ops)
+    block.count = count
+    block.encodings = tuple(encodings)
     block.pcs = tuple(pcs)
     block.slot = instruction_slot(_APP, kind)
     block.words = (pc - start) >> 1
-    block.cycles = sum(entry.cycles for entry in entries)
-    block.transfer = entries[-1].instruction.writes_pc()
+    block.cycles = cycles
+    block.transfer = encoding.transfer
     if kind is _FRAM:
-        block.stall = env.penalty * (block.words - block.count)
+        block.stall = env.penalty * (block.words - count)
         block.hits = block.words
         block.clears = False
     else:
         block.stall = block.hits = 0
-        block.clears = not entries[-1].memory
-    block.tail = tuple(reversed(pcs[-3:])) if len(pcs) >= 3 else None
+        block.clears = not encoding.memory
+    block.tail = (pcs[-1], pcs[-2], pcs[-3]) if count >= 3 else None
     block.prefixes = _prefixes(block, env.penalty) if env.synced else None
     cpu._blocks[start] = block
     return block
@@ -743,13 +811,13 @@ def _prefixes(block, penalty):
     ``(words, retired, cycles, stall, hits)`` by pc."""
     prefixes = {}
     words = cycles = 0
-    for index, entry in enumerate(block.entries):
-        words += entry.length >> 1
-        if entry.memory:
+    for index, encoding in enumerate(block.encodings):
+        words += encoding.length >> 1
+        if encoding.memory:
             stall = penalty * (words - index - 1) if block.hits else 0
             hits = words if block.hits else 0
             prefixes[block.pcs[index]] = (words, index, cycles, stall, hits)
-        cycles += entry.cycles
+        cycles += encoding.cycles
     return prefixes
 
 
@@ -759,11 +827,11 @@ def _retire(cpu, block, fetched, retired):
     fetched one."""
     bus = cpu.bus
     counters = bus.counters
-    entries = block.entries
-    words = sum(entry.length for entry in entries[:fetched]) >> 1
+    encodings = block.encodings
+    words = sum(encoding.length for encoding in encodings[:fetched]) >> 1
     counters.access_counts[block.slot] += words
     counters.instruction_counts[block.slot] += retired
-    counters.cycle_counts[_APP.slot] += sum(e.cycles for e in entries[:retired])
+    counters.cycle_counts[_APP.slot] += sum(e.cycles for e in encodings[:retired])
     if block.hits:
         counters.stall_cycles += bus.contention_penalty * (words - fetched)
         bus.fram_cache.hits += words
@@ -779,7 +847,7 @@ def _fault(cpu, block, index, error):
     cpu.regs[PC] = _retire(cpu, block, index + 1, index)
     if isinstance(error, BusError):
         pc = block.pcs[index]
-        instruction = block.entries[index].instruction
+        instruction = block.encodings[index].instruction
         raise SimulationError(f"at PC={pc:#06x} ({instruction}): {error}") from error
     raise error
 

@@ -96,8 +96,8 @@ class Cpu:
         self.pc_history = [0, 0, 0]
         self._decode_cache = {}
         # The block path's caches (see repro.machine.block): blocks by
-        # entry pc, compiled instructions by (pc, bytes), and what the
-        # compiled closures bind.
+        # entry pc, compiled instructions (closure and encoding) by
+        # (pc, bytes), and what the compiled closures bind.
         self._blocks = {}
         self._entries = {}
         self._block_env = None
@@ -273,10 +273,13 @@ class Cpu:
         """Power-on reset: registers cleared, PC at the entry vector.
 
         ``instructions_retired`` deliberately survives (it is host-side
-        accounting, like the access counters); the decode cache and the
-        block path's caches are dropped so a rebooted machine decodes
-        cold, exactly as accounted (the cached and uncached fetch paths
-        charge identically).
+        accounting, like the access counters). The decode cache and this
+        CPU's blocks and compiled instructions are dropped, so the step
+        loop decodes cold; the block path still finds each encoding it
+        has seen in its process-wide table (``repro.machine.block``),
+        which holds nothing of this machine. Either way the fetches are
+        charged exactly as accounted (the cached and uncached fetch
+        paths charge identically).
         """
         for index in range(16):
             self.regs[index] = 0

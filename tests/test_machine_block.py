@@ -19,7 +19,8 @@ from repro.asm import SectionLayout, assemble, parse_asm
 from repro.bench import QUICK_NAMES, get_benchmark
 from repro.difftest import generate_program
 from repro.isa.registers import PC, SP
-from repro.machine import RunawayError, SimulationError, fr2355_board
+from repro.core import build_swapram
+from repro.machine import RunawayError, SimulationError, block, fr2355_board
 from repro.machine.bus import Bus
 from repro.machine.cpu import Cpu
 from repro.machine.fram_cache import FramReadCache
@@ -258,23 +259,25 @@ def test_capture_bytes_match_the_step_loop(name, monkeypatch):
 # -- edge cases under cpu.run() -----------------------------------------------------
 
 
-def _board(source, hooks=()):
+#: The layout of the asm programs here.
+LAYOUT = SectionLayout(text=0x8000, rodata=0x9000, data=0x9800, bss=0x9C00)
+
+
+def _board(source, hooks=(), layout=LAYOUT):
     program = parse_asm(source, entry="__start")
-    image = assemble(
-        program, SectionLayout(text=0x8000, rodata=0x9000, data=0x9800, bss=0x9C00)
-    )
+    image = assemble(program, layout)
     board = fr2355_board().load(image)
     for address, hook in hooks:
         board.add_hook(address, hook)
     return board
 
 
-def both_ways(source, hooks=(), max_instructions=100_000):
+def both_ways(source, hooks=(), max_instructions=100_000, layout=LAYOUT):
     """Run *source* on the block path and on the step loop; returns
     ``(error, board)`` per path, *error* being what ``cpu.run`` raised."""
     outcomes = []
     for step_loop in (False, True):
-        board = _board(source, hooks)
+        board = _board(source, hooks, layout)
         if step_loop:
             reference(board)
         error = None
@@ -676,3 +679,169 @@ def test_fram_data_accesses_stay_off_the_bus_call_chain(monkeypatch):
     monkeypatch.undo()
     error, block = assert_same(both_ways(source))
     assert error is None and block.bus.fram_cache.as_dict() == fram_cache.as_dict()
+
+
+# -- the encoding table -------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_encodings():
+    """Start and leave the block path's encoding table empty."""
+    block._clear()
+    yield
+    block._clear()
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of each call to ``block.<name>``."""
+    calls = []
+    original = getattr(block, name)
+
+    def spied(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(block, name, spied)
+    return calls
+
+
+def test_same_bytes_at_three_pcs(fresh_encodings):
+    # A routine with a conditional jump, a symbolic source and
+    # destination and a CALL runs in place and from two SRAM copies:
+    # the same bytes at three pcs, each jump target, operand address
+    # and return address its own. The copies' symbolic cells fall in
+    # SRAM, zero at first.
+    layout = SectionLayout(text=0x8000, rodata=0x8C00, data=0x8800, bss=0x8E00)
+    error, board = assert_same(
+        both_ways(
+            """
+            .section .data
+            cell: .word 5
+            .section .text
+            .func __start
+                MOV #0x3000, SP
+                CALL #routine
+                MOV #0x2100, R14
+                CALL #copy
+                MOV #0x2180, R14
+                CALL #copy
+                MOV #1, &0x0202
+            .endfunc
+            .func copy
+                MOV #routine, R12
+                MOV R14, R13
+            again:
+                MOV @R12+, 0(R13)
+                ADD #2, R13
+                CMP #routine_end, R12
+                JNE again
+                CALL R14
+                RET
+            .endfunc
+            .func routine
+                MOV #3, R7
+            loop:
+                ADD cell, R8
+                MOV R8, cell
+                CALL #helper
+                SUB #1, R7
+                JNZ loop
+                MOV R8, &0x0200
+                RET
+            .endfunc
+            .func routine_end
+                RET
+            .endfunc
+            .func helper
+                ADD #1, R9
+                RET
+            .endfunc
+            """,
+            layout=layout,
+        )
+    )
+    assert error is None
+    assert board.bus.debug_words == [20, 80, 320]
+    assert board.cpu.regs[9] == 9
+    # The jump and the symbolic operands were analysed once per pc.
+    pcs = {}
+    for key in block._ENCODINGS:
+        if isinstance(key, tuple):
+            pcs.setdefault(key[1], set()).add(key[0])
+    assert sum(len(at) == 3 for at in pcs.values()) >= 3
+
+
+def test_program_after_one_sharing_its_encodings(fresh_encodings, monkeypatch):
+    # A program compiled on a fresh board after another one has filled
+    # the table runs as it does cold, and as the step loop runs it.
+    analysed = _spy(monkeypatch, "_analyse")
+    crc = get_benchmark("crc").source
+    program = generate_program(0, "small").render()
+    for name in ("baseline", "swapram"):
+        runs = []
+        for warm in (False, True):
+            block._clear()
+            if warm:
+                systems.build(name, crc, PLANS["unified"]).run()
+            del analysed[:]
+            system = systems.build(name, program, PLANS["unified"])
+            system.run()
+            runs.append((observables(system), len(analysed)))
+        (cold, cold_analysed), (warm, warm_analysed) = runs
+        assert warm_analysed < cold_analysed  # the two share encodings
+        system = systems.build(name, program, PLANS["unified"])
+        reference(system.board)
+        system.run()
+        for got in (cold, warm):
+            key = first_divergence(got, observables(system))
+            assert key is None, f"{name}: {key} diverges first"
+
+
+def _swapram_both_ways(knobs):
+    runs = []
+    for step_loop in (False, True):
+        system = systems.build(
+            "swapram", get_benchmark("crc").source, PLANS["unified"], **knobs
+        )
+        if step_loop:
+            reference(system.board)
+        system.run()
+        runs.append(observables(system))
+    return runs
+
+
+def test_swapram_function_recopied_into_another_slot(fresh_encodings, monkeypatch):
+    compiled = _spy(monkeypatch, "_compile")
+    block_run, step_run = _swapram_both_ways({"policy": "stack", "cache_limit": 0xC0})
+    key = first_divergence(block_run, step_run)
+    assert key is None, f"{key} diverges first"
+    pcs = {}
+    for _env, code, pc, _end, kind, _relative in compiled:
+        if kind is RegionKind.SRAM:
+            pcs.setdefault(code, set()).add(pc)
+    assert max(len(at) for at in pcs.values()) > 1
+
+
+def test_run_across_a_table_start_over(fresh_encodings, monkeypatch):
+    monkeypatch.setattr(block, "_ENCODING_ENTRIES", 8)
+    analysed = _spy(monkeypatch, "_analyse")
+    block_run, step_run = _swapram_both_ways({})
+    key = first_divergence(block_run, step_run)
+    assert key is None, f"{key} diverges first"
+    assert len(analysed) > 8 * 4 and len(block._ENCODINGS) <= 8
+
+
+class _Untouchable(dict):
+    def _touched(self, *args):
+        raise AssertionError("the step loop read the encoding table")
+
+    get = __getitem__ = __contains__ = __setitem__ = _touched
+
+
+def test_step_loop_never_reads_the_encoding_table(monkeypatch):
+    monkeypatch.setattr(block, "_ENCODINGS", _Untouchable())
+    monkeypatch.setattr(block, "_OPCODES", _Untouchable())
+    system = build_swapram(get_benchmark("crc").source, PLANS["unified"])
+    reference(system.board)
+    system.run()
+    assert system.board.cpu._decode_cache

@@ -19,14 +19,24 @@ select the step loop with ``Cpu._step_loop``, so they measure it at its
 own cost, and check that ``Cpu.step`` ran for every instruction. The
 block path has its own gate. Its FRAM data accesses and FRAM read cache
 lookups run inline while no data cache is attached; measured on crc
-under Python 3.11, 2.94 calls per instruction for baseline and 1.97 for
-SwapRAM, gated at <= 4.
+under Python 3.11, 2.90 calls per instruction for baseline and 1.91 for
+SwapRAM (2.94 and 1.97 before the encoding table below), gated at <= 4.
 
 Observed runs take the block path too. crc under SwapRAM with a
 ``TraceSession`` and a ``TraceLog`` attached, as ``repro trace
 --accesses`` runs it, has a gate of its own: measured on crc under
-Python 3.11, 7.08 calls per instruction (24.1 on the step loop), gated
-at <= 8.
+Python 3.11, 7.02 calls per instruction (7.08 before the encoding
+table, 24.1 on the step loop), gated at <= 8.
+
+Building blocks has a gate of its own: the calls made inside
+``block._build`` per compiled instruction (one ``block._compile``) on
+crc, cold and warm. Cold runs with the process-wide encoding table
+cleared; warm runs a second board of the same program, where every
+encoding is in the table and compiling only binds a closure. Measured
+in a fresh process under Python 3.11: 33.46 cold and 12.23 warm for
+baseline, 28.51 and 11.19 for SwapRAM; gated at <= 36 cold and <= 14
+warm. Decoding and analysing every (pc, bytes) pair afresh, as before
+the table, took 68.9 and 57.1 (baseline), 62.4 and 53.7 (SwapRAM).
 """
 
 import sys
@@ -36,6 +46,7 @@ import pytest
 from repro import systems
 from repro.bench import get_benchmark
 from repro.core import build_swapram
+from repro.machine import block
 from repro.machine.cpu import Cpu
 from repro.machine.tracelog import TraceLog
 from repro.obs import TraceSession
@@ -52,6 +63,11 @@ BLOCK_CALLS_PER_INSTRUCTION_BUDGET = 4
 
 #: Calls per guest instruction allowed on traced crc on the block path.
 TRACED_CALLS_PER_INSTRUCTION_BUDGET = 8
+
+#: Calls per compiled instruction allowed in block construction on crc,
+#: with the encoding table cleared and with every encoding in it.
+COLD_CONSTRUCTION_CALLS_BUDGET = 36
+WARM_CONSTRUCTION_CALLS_BUDGET = 14
 
 
 def calls_per_instruction(system, step_loop=False):
@@ -112,3 +128,42 @@ def test_traced_crc_block_path_calls_per_instruction_within_budget():
     log.detach()
     session.finish()
     assert calls <= TRACED_CALLS_PER_INSTRUCTION_BUDGET
+
+
+def construction_calls(system):
+    """Calls made inside ``block._build`` per compiled instruction over
+    one run on the block path."""
+    build_code = block._build.__code__
+    compile_code = block._compile.__code__
+    depth = calls = compiles = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, calls, compiles
+        if event == "call":
+            code = frame.f_code
+            if code is build_code:
+                depth += 1
+            elif depth:
+                calls += 1
+                compiles += code is compile_code
+        elif event == "c_call":
+            calls += depth > 0
+        elif event == "return" and frame.f_code is build_code:
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        system.run()
+    finally:
+        sys.setprofile(None)
+    return calls / compiles
+
+
+@pytest.mark.parametrize("build", [build_baseline, build_swapram])
+def test_crc_block_construction_calls_within_budget(build):
+    source = get_benchmark("crc").source
+    block._clear()
+    cold = construction_calls(build(source, PLANS["unified"]))
+    warm = construction_calls(build(source, PLANS["unified"]))
+    assert cold <= COLD_CONSTRUCTION_CALLS_BUDGET
+    assert warm <= WARM_CONSTRUCTION_CALLS_BUDGET
