@@ -115,12 +115,23 @@ class DataCacheRuntime:
         self.bus.data_cache = self
         return self
 
+    def load_writes(self):
+        """The ``(lo, hi)`` byte ranges an application load may write:
+        the line store, by fills, and in write-back mode the window's
+        whole lines in FRAM, by writebacks and cleaning."""
+        store = (self.model.base, self.model.base + self.config.total_bytes)
+        if self._write_through:
+            return (store,)
+        line = self.config.line_bytes
+        homes = ((lo & -line, (hi + line - 1) & -line) for lo, hi in self.window)
+        return (store, *homes)
+
     def nvm_bytes(self, sizes):
         """``(runtime, metadata)`` NVM bytes: the modelled handler and memcpy."""
         del sizes  # the runtime area is carved past the image, not linked
         return self.costs.handler_bytes + self.costs.memcpy_bytes, 0
 
-    # -- the hot path (called from Bus.read / Bus.write) -----------------------------
+    # -- the hot path (called from Bus.read / Bus.write, and from blocks) -----------
 
     def app_read(self, address, byte):
         model = self.model

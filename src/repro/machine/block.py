@@ -33,23 +33,29 @@ What stays exact, and how:
 
 * Code bytes. A block snapshots its bytes and runs only while they
   match memory. An instruction that may write memory (a memory
-  destination, PUSH, a step-loop executor, and any memory access while a
-  data cache is attached, since its fills and writebacks write) reports
-  it, and the block then stops if the halt port was written or its
-  bytes changed -- a store that rewrites a later instruction of the
-  running block.
+  destination, PUSH, a step-loop executor) reports it, and the block
+  then stops if the halt port was written or its bytes changed -- a
+  store that rewrites a later instruction of the running block. A load
+  writes memory only through a data cache: its fills write the line
+  store, and in write-back mode its writebacks and cleaning write the
+  window's lines in FRAM. No block covers those bytes (the runtime's
+  ``load_writes``): code there runs on the step loop, so loads never
+  re-check a block's bytes.
 * Accesses, in order. SRAM data accesses run inline, and so do aligned
-  FRAM word and any FRAM byte accesses while no data cache is attached:
-  the tally, the FRAM touch count's contention, the FRAM read cache's
-  LRU update with its counts and wait states on a read, and the wait
-  states and line invalidation on a write, as ``Bus.read``/``Bus.write``
-  and :class:`~repro.machine.fram_cache.FramReadCache` do them. Every
-  other access (misaligned, MMIO, unmapped, or one a data cache may
-  cover) goes through ``bus.read``/``bus.write``. A FRAM-resident
-  instruction sets the FRAM touch count its fetch leaves and looks up
-  the FRAM read cache once per line, in order with its data accesses: a
-  line most recently used in its set is a hit with no LRU change, and
-  any other line takes the same inline LRU update as a data read.
+  FRAM word and any FRAM byte accesses: the tally, the FRAM touch
+  count's contention, the FRAM read cache's LRU update with its counts
+  and wait states on a read, and the wait states and line invalidation
+  on a write, as ``Bus.read``/``Bus.write`` and
+  :class:`~repro.machine.fram_cache.FramReadCache` do them. While a data
+  cache is attached, such an access to an address it covers calls the
+  runtime's ``app_read``/``app_write`` instead, as the bus hands over an
+  application access (blocks run only under the application's
+  attribution). Every other access (misaligned, MMIO, unmapped) goes
+  through ``bus.read``/``bus.write``. A FRAM-resident instruction sets
+  the FRAM touch count its fetch leaves and looks up the FRAM read
+  cache once per line, in order with its data accesses: a line most
+  recently used in its set is a hit with no LRU change, and any other
+  line takes the same inline LRU update as a data read.
 * Tallies, at every exit. Fetch words, instruction and cycle counts,
   fetch contention and the FRAM cache's fetch hits are summed per block
   and added when it exits; an early exit or an exception adds the
@@ -121,21 +127,23 @@ _UNARY = frozenset({"RRA", "RRC", "SWPB", "SXT"})
 # the seam), ``COUNTERS``, ``CACHE`` (the FRAM read cache) with its
 # geometry ``LINES``/``SETS``/``SHIFT``/``ASSOC`` (per-set tag lists, set
 # count, line-size shift, ways), ``WAIT``/``PENALTY`` (FRAM wait states,
-# contention penalty), ``ON_FETCH``/``ON_READ``/``ON_WRITE``/``ON_RETIRE``
-# (the seam's handlers), ``ENV`` and ``cpu``. The inner one takes one
-# instruction's constants, in the order of :data:`_ENCODED` and
-# :data:`_PLACED`: from its encoding ``S``/``X``/``K``/``STEP``
-# (source register, displacement or address, immediate, autoincrement
-# step), ``D``/``Y`` (destination register, displacement or address),
-# ``TARGET``/``TAKEN`` (jumps), ``W``/``CYCLES`` (words and cycles) and
-# ``ins``/``execute`` (the step loop's executor); from its address
-# ``NEXT``/``AT``/``KIND`` (the next pc, its pc and region) and
-# ``WAYS<i>``/``TAG<i>`` (a FRAM fetch's lines). A closure keeps only
-# the names its body uses.
+# contention penalty), ``COVERED``/``APP_READ``/``APP_WRITE`` (the data
+# cache runtime's ``covered`` table, ``app_read`` and ``app_write``, or
+# ``None`` with no data cache attached), ``ON_FETCH``/``ON_READ``/
+# ``ON_WRITE``/``ON_RETIRE`` (the seam's handlers), ``ENV`` and ``cpu``.
+# The inner one takes one instruction's constants, in the order of
+# :data:`_ENCODED` and :data:`_PLACED`: from its encoding
+# ``S``/``X``/``K``/``STEP`` (source register, displacement or address,
+# immediate, autoincrement step), ``D``/``Y`` (destination register,
+# displacement or address), ``TARGET``/``TAKEN`` (jumps),
+# ``W``/``CYCLES`` (words and cycles) and ``ins``/``execute`` (the step
+# loop's executor); from its address ``NEXT``/``AT``/``KIND`` (the next
+# pc, its pc and region) and ``WAYS<i>``/``TAG<i>`` (a FRAM fetch's
+# lines). A closure keeps only the names its body uses.
 
 _ENVIRONMENT = (
     "regs bus data kinds counts read write COUNTERS CACHE LINES SETS SHIFT ASSOC WAIT "
-    "PENALTY ON_FETCH ON_READ ON_WRITE ON_RETIRE ENV cpu"
+    "PENALTY COVERED APP_READ APP_WRITE ON_FETCH ON_READ ON_WRITE ON_RETIRE ENV cpu"
 ).split()
 _ENCODED = "S X K STEP D Y TARGET TAKEN W CYCLES ins execute".split()
 _PLACED = "NEXT AT KIND WAYS0 TAG0 WAYS1 TAG1 WAYS2 TAG2".split()
@@ -147,15 +155,16 @@ _Watch = namedtuple("_Watch", "fetch read write retire")
 _TEMPLATES = {}
 
 
-def _load(value, address, byte, watch, fram):
-    """Read *address* into *value*: SRAM inline, FRAM too if *fram*,
-    anything else by the bus; after the ``on_read`` handler if *watch*
-    says it is handled."""
+def _load(value, address, byte, watch, covered):
+    """Read *address* into *value*: SRAM and FRAM inline, a FRAM address
+    the data cache covers (if *covered*) by its runtime, anything else
+    by the bus; after the ``on_read`` handler if *watch* says it is
+    handled."""
     lines = [f"ON_READ({address}, {byte})"] if watch.read else []
     get = f"{value} = data[{address}]"
     if not byte:
         get += f" | (data[{address} + 1] << 8)"
-    inline = [
+    fram = [
         f"counts[{_READ_FRAM}] += 1",
         *_touch(address, "if n:", "    COUNTERS.stall_cycles += PENALTY"),
         "if g in w:",
@@ -167,19 +176,22 @@ def _load(value, address, byte, watch, fram):
         *_indent(_miss("g", "w")),
         get,
     ]
+    if covered:
+        fram = _cover(address, f"{value} = APP_READ({address}, {byte})", fram)
     return lines + _dispatch(
         address,
         byte,
-        inline if fram else None,
+        fram,
         [f"counts[{_READ_SRAM}] += 1", get],
         f"{value} = read({address}, {byte})",
     )
 
 
-def _store(address, value, byte, watch, fram):
-    """Write *value* to *address*: SRAM inline, FRAM too if *fram*,
-    anything else by the bus; after the ``on_write`` handler if *watch*
-    says it is handled."""
+def _store(address, value, byte, watch, covered):
+    """Write *value* to *address*: SRAM and FRAM inline, a FRAM address
+    the data cache covers (if *covered*) by its runtime, anything else
+    by the bus; after the ``on_write`` handler if *watch* says it is
+    handled."""
     lines = [f"ON_WRITE({address}, {value}, {byte})"] if watch.write else []
     if byte:
         put = [f"data[{address}] = {value}"]
@@ -188,7 +200,7 @@ def _store(address, value, byte, watch, fram):
             f"data[{address}] = {value} & 0xFF",
             f"data[{address} + 1] = {value} >> 8",
         ]
-    inline = [
+    fram = [
         f"counts[{_WRITE_FRAM}] += 1",
         *_touch(address, "COUNTERS.stall_cycles += WAIT + PENALTY if n else WAIT"),
         "if g in w:",
@@ -196,28 +208,29 @@ def _store(address, value, byte, watch, fram):
         "    CACHE.invalidates += 1",
         *put,
     ]
+    if covered:
+        fram = _cover(address, f"APP_WRITE({address}, {value}, {byte})", fram)
     return lines + _dispatch(
         address,
         byte,
-        inline if fram else None,
+        fram,
         [f"counts[{_WRITE_SRAM}] += 1", *put],
         f"write({address}, {value}, {byte})",
     )
 
 
+def _cover(address, runtime, fram):
+    """The *runtime* line for a FRAM *address* the data cache covers,
+    the uncovered *fram* lines for any other, as ``Bus.read``/``Bus.write``
+    route an application access."""
+    return [f"if COVERED[{address}]:", "    " + runtime, "else:", *_indent(fram)]
+
+
 def _dispatch(address, byte, fram, sram, other):
-    """Run the *fram* lines for an application FRAM access (unless
-    *fram* is ``None``), the *sram* lines for an SRAM one, and *other*
-    for anything else: misaligned, MMIO, unmapped or, with *fram*
-    ``None``, FRAM."""
+    """Run the *fram* lines for an application FRAM access, the *sram*
+    lines for an SRAM one, and *other* for anything else: misaligned,
+    MMIO or unmapped."""
     aligned = "" if byte else f" and not {address} & 1"
-    if fram is None:
-        return [
-            f"if kinds[{address}] is SRAM{aligned}:",
-            *_indent(sram),
-            "else:",
-            "    " + other,
-        ]
     return [
         f"k = kinds[{address}]",
         f"if k is FRAM{aligned}:",
@@ -262,7 +275,7 @@ def _write_register(value):
     return [f"regs[D] = {value}"]
 
 
-def _source(mode, byte, watch, fram):
+def _source(mode, byte, watch, covered):
     """Evaluate the source operand into ``s``, as ``Cpu._read_source``."""
     if mode == "reg":
         return [f"s = regs[S] & {0xFF if byte else 0xFFFF:#x}"]
@@ -274,7 +287,7 @@ def _source(mode, byte, watch, fram):
         "ind": "regs[S] & 0xFFFF",
         "inc": "regs[S] & 0xFFFF",
     }[mode]
-    lines = [f"a = {address}", *_load("s", "a", byte, watch, fram)]
+    lines = [f"a = {address}", *_load("s", "a", byte, watch, covered)]
     if mode == "inc":
         lines.append("regs[S] = (regs[S] + STEP) & 0xFFFF")
     return lines
@@ -293,18 +306,18 @@ def _flags(msb, carry, overflow=None):
     return ["regs[2] = " + " | ".join(parts)]
 
 
-def _binary(name, byte, src, dst, watch, fram):
+def _binary(name, byte, src, dst, watch, covered):
     """A Format I instruction, in the step loop's order of effects."""
     mask, msb = (0xFF, 0x80) if byte else (0xFFFF, 0x8000)
     lines = ["c = regs[2] & 1"] if name in ("ADDC", "SUBC") else []
-    lines += _source(src, byte, watch, fram)
+    lines += _source(src, byte, watch, covered)
     if dst == "reg":
         read_dest = [f"d = regs[D] & {mask:#x}"]
         write = _write_register
     else:
         lines.append("b = (regs[D] + Y) & 0xFFFF" if dst == "idx" else "b = Y")
-        read_dest = _load("d", "b", byte, watch, fram)
-        write = partial(_store, "b", byte=byte, watch=watch, fram=fram)
+        read_dest = _load("d", "b", byte, watch, covered)
+        write = partial(_store, "b", byte=byte, watch=watch, covered=covered)
     if name == "MOV":
         return lines + write("s")
     lines += read_dest
@@ -346,15 +359,15 @@ def _unary(name, byte):
     return lines + ["regs[S] = r"]
 
 
-def _body(kind, name, byte, src, dst, watch, fram):
+def _body(kind, name, byte, src, dst, watch, covered):
     if kind == "binary":
-        return _binary(name, byte, src, dst, watch, fram)
+        return _binary(name, byte, src, dst, watch, covered)
     if kind == "unary":
         return _unary(name, byte)
     if kind == "push":
-        lines = _source(src, byte, watch, fram)
+        lines = _source(src, byte, watch, covered)
         lines += ["b = (regs[1] - 2) & 0xFFFF", "regs[1] = b"]
-        return lines + _store("b", "s", False, watch, fram)
+        return lines + _store("b", "s", False, watch, covered)
     if kind == "jump":
         if name == "JMP":
             return ["regs[0] = TARGET"]
@@ -394,11 +407,11 @@ def _template(shape):
     """The two-level closure factory for *shape*, generated on first use."""
     factory = _TEMPLATES.get(shape)
     if factory is None:
-        kind, name, byte, src, dst, fetch, check, watch, synced, fram = shape
+        (kind, name, byte, src, dst, _, check), fetch, watch, synced, covered = shape
         body = ["ENV.at = AT"] if synced else []
         if watch.fetch:
             body.append("ON_FETCH(AT, W)")
-        body += _prologue(fetch) + _body(kind, name, byte, src, dst, watch, fram)
+        body += _prologue(fetch) + _body(kind, name, byte, src, dst, watch, covered)
         if watch.retire:
             body.append("ON_RETIRE(APP, KIND, CYCLES)")
         if check:
@@ -576,9 +589,10 @@ def _analyse(code, pc, key):
 
 def _compile(env, code, pc, end, kind, relative):
     """The closure for the instruction *code* at *pc*, in region *kind*,
-    and its encoding; ``None`` if its words straddle a region change."""
+    and its encoding; ``None`` if its words straddle a region change or
+    a load may write them."""
     length = end - pc
-    if env.kinds[pc:end].count(kind) != length:
+    if env.kinds[pc:end].count(kind) != length or env.guarded.find(1, pc, end) >= 0:
         return None
     key = (pc, code) if relative else code
     encoding = _ENCODINGS.get(key)
@@ -606,6 +620,9 @@ def _compile(env, code, pc, end, kind, relative):
 
 # -- the run environment --------------------------------------------------------------
 
+#: The guard of a board with no data cache: a load writes nothing.
+_UNGUARDED = bytes(0x10000)
+
 
 class _Environment:
     """What a CPU's closures bind, valid while :func:`_context` is
@@ -617,8 +634,16 @@ class _Environment:
         self.cpu = cpu
         self.counters = counters = bus.counters
         self.fram_cache = fram_cache = bus.fram_cache
-        self.data_cache = bus.data_cache is not None
+        self.runtime = runtime = bus.data_cache
         self.kinds = bus._kinds
+        #: Nonzero on every byte a load may write (the data cache's line
+        #: store and window): code there runs on the step loop, so a
+        #: block's bytes change only by a store, which checks them.
+        self.guarded = _UNGUARDED
+        if runtime is not None:
+            self.guarded = bytearray(0x10000)
+            for lo, hi in runtime.load_writes():
+                self.guarded[lo:hi] = b"\1" * (hi - lo)
         # Only ``install`` changes the subscribers, and it drops this
         # environment.
         board = bus.board
@@ -630,7 +655,9 @@ class _Environment:
         self.watch = _Watch(*(f"on_{name}" in handlers for name in _Watch._fields))
         #: Whether memory instructions record their pc for events
         #: stamped inside them (see :func:`_stamping`).
-        self.synced = self.data_cache and board is not None and board.emit is not None
+        self.synced = (
+            runtime is not None and board is not None and board.emit is not None
+        )
         #: The running block and memory instruction, while synced.
         self.block = None
         self.at = None
@@ -661,6 +688,10 @@ class _Environment:
             "ASSOC": fram_cache.ways,
             "WAIT": bus.wait_states,
             "PENALTY": self.penalty,
+            # The data cache's runtime, for the FRAM accesses it covers.
+            "COVERED": None if runtime is None else runtime.covered,
+            "APP_READ": None if runtime is None else runtime.app_read,
+            "APP_WRITE": None if runtime is None else runtime.app_write,
             "ON_FETCH": handlers.get("on_fetch"),
             "ON_READ": handlers.get("on_read"),
             "ON_WRITE": handlers.get("on_write"),
@@ -672,13 +703,10 @@ class _Environment:
     def maker(self, key):
         """The inner factory for *key*, ``(encoding shape, fetch)``; *fetch*
         is as :func:`_prologue` takes it."""
-        (family, name, byte, source, dest, memory, writes), fetch = key
-        check = writes or (memory and self.data_cache)
+        memory = key[0][5]  # whether the encoding may access memory
         synced = memory and self.synced
-        fram = memory and not self.data_cache
-        shape = (
-            family, name, byte, source, dest, fetch, check, self.watch, synced, fram
-        )
+        covered = memory and self.runtime is not None
+        shape = (*key, self.watch, synced, covered)
         bind = self.makers[key] = _template(shape)(**self.bound)
         return bind
 
@@ -689,7 +717,7 @@ def _context(cpu):
     return (
         id(bus.counters),
         id(bus.fram_cache),
-        bus.data_cache is None,
+        id(bus.data_cache),
         bus.wait_states,
         bus.contention_penalty,
         frozenset(cpu.hooks),

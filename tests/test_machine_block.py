@@ -20,12 +20,16 @@ from repro.bench import QUICK_NAMES, get_benchmark
 from repro.difftest import generate_program
 from repro.isa.registers import PC, SP
 from repro.core import build_swapram
+from repro.core.costs import DataCacheCostModel
+from repro.datacache.cache import DataCacheConfig
+from repro.datacache.runtime import DataCacheRuntime
 from repro.machine import RunawayError, SimulationError, block, fr2355_board
 from repro.machine.bus import Bus
 from repro.machine.cpu import Cpu
 from repro.machine.fram_cache import FramReadCache
 from repro.machine.memory import RegionKind
 from repro.machine.observe import observe
+from repro.machine.trace import Attribution
 from repro.machine.tracelog import TraceLog
 from repro.metrics.instrument import EventMetrics, MetricsSession
 from repro.metrics.registry import MetricsRegistry
@@ -263,21 +267,24 @@ def test_capture_bytes_match_the_step_loop(name, monkeypatch):
 LAYOUT = SectionLayout(text=0x8000, rodata=0x9000, data=0x9800, bss=0x9C00)
 
 
-def _board(source, hooks=(), layout=LAYOUT):
+def _board(source, hooks=(), layout=LAYOUT, attach=None):
     program = parse_asm(source, entry="__start")
     image = assemble(program, layout)
     board = fr2355_board().load(image)
     for address, hook in hooks:
         board.add_hook(address, hook)
+    if attach is not None:
+        attach(board)
     return board
 
 
-def both_ways(source, hooks=(), max_instructions=100_000, layout=LAYOUT):
+def both_ways(source, hooks=(), max_instructions=100_000, layout=LAYOUT, attach=None):
     """Run *source* on the block path and on the step loop; returns
-    ``(error, board)`` per path, *error* being what ``cpu.run`` raised."""
+    ``(error, board)`` per path, *error* being what ``cpu.run`` raised.
+    *attach*, if given, is called with each board after it is loaded."""
     outcomes = []
     for step_loop in (False, True):
-        board = _board(source, hooks, layout)
+        board = _board(source, hooks, layout, attach)
         if step_loop:
             reference(board)
         error = None
@@ -358,6 +365,75 @@ def test_store_rewrites_a_later_instruction_of_the_running_block():
     )
     assert error is None
     assert board.bus.debug_words == [0x2222]
+
+
+def _data_cache(mode, *window, ways=1):
+    """An *attach* step for :func:`both_ways`: a data cache of one set of
+    16-byte lines at 0x2400 over the FRAM *window*, ``(lo, hi)`` pairs."""
+
+    def attach(board):
+        config = DataCacheConfig(mode=mode, sets=1, ways=ways)
+        runtime = DataCacheRuntime(
+            board, config, window, 0x2400, 0xE000, DataCacheCostModel()
+        )
+        runtime.install()
+
+    return attach
+
+
+def test_load_rewrites_a_later_instruction_of_the_running_block():
+    # From the line store: a routine copied into the cache's one line
+    # slot loads from the window, and the fill overwrites the slot with
+    # the same routine holding another immediate for MOV #0x1111.
+    error, board = assert_same(
+        both_ways(
+            """
+            .section .data
+            image: .word 0x4216, 0x9800, 0x403C, 0x2222, 0x4C82, 0x0200, 0x4392, 0x0202
+            .section .text
+            .func __start
+                MOV #0x3000, SP
+                MOV #0x2400, R5
+                MOV #0x4216, 0(R5)   ; 0x2400: MOV &0x9800, R6
+                MOV #0x9800, 2(R5)
+                MOV #0x403C, 4(R5)   ; 0x2404: MOV #0x1111, R12
+                MOV #0x1111, 6(R5)
+                MOV #0x4C82, 8(R5)   ; 0x2408: MOV R12, &0x0200
+                MOV #0x0200, 10(R5)
+                MOV #0x4392, 12(R5)  ; 0x240C: MOV #1, &0x0202
+                MOV #0x0202, 14(R5)
+                BR R5
+            .endfunc
+            """,
+            attach=_data_cache("through", (0x9800, 0x9810)),
+        )
+    )
+    assert error is None
+    assert board.bus.debug_words == [0x2222]
+    assert board.bus.data_cache.stats.fills == 1
+
+    # From the window: a store puts a new immediate for MOV #0x1111 in
+    # the cached copy of its line, and the load behind it evicts that
+    # dirty line, whose writeback rewrites the instruction in FRAM.
+    error, board = assert_same(
+        both_ways(
+            """
+            .func __start
+                MOV #0x3000, SP
+                MOV #0x2222, &patch+2
+                MOV &0x80F0, R6
+            patch:
+                MOV #0x1111, R12
+                MOV R12, &0x0200
+                MOV #1, &0x0202
+            .endfunc
+            """,
+            attach=_data_cache("back", (0x8000, 0x8100)),
+        )
+    )
+    assert error is None
+    assert board.bus.debug_words == [0x2222]
+    assert board.bus.data_cache.stats.writebacks >= 1
 
 
 def test_halt_store_mid_block_stops_there():
@@ -634,9 +710,12 @@ def test_block_path_matches_step_loop_under_fram_timings(geometry, mhz):
 
 def test_fram_data_accesses_stay_off_the_bus_call_chain(monkeypatch):
     # Code, data and stack in FRAM, and only instructions blocks run
-    # themselves (no CALL, whose executor is the step loop's): with no
-    # data cache, every FRAM data access and every fetch-line lookup
-    # runs inline. Its data evicts the loop's code lines, so fetches miss.
+    # themselves (no CALL, whose executor is the step loop's): every
+    # application FRAM data access and every fetch-line lookup runs
+    # inline. Its data evicts the loop's code lines, so fetches miss.
+    # With a write-back data cache over part of the data, the accesses
+    # it covers go straight to its runtime, and its fills and writebacks
+    # alone (not the application) take the bus.
     source = """
         .func __start
             MOV #0xA000, SP
@@ -655,30 +734,43 @@ def test_fram_data_accesses_stay_off_the_bus_call_chain(monkeypatch):
             MOV #1, &0x0202
         .endfunc
     """
-    calls = {"read": 0, "write": 0, "access": 0, "invalidate": 0}
+    data_cache = _data_cache("back", (0x9800, 0x9880), (0x9900, 0x9910), ways=2)
+    for attach in (None, data_cache):
+        board = _board(source, attach=attach)
+        bus = board.bus
+        calls = dict.fromkeys(["read", "write", "access", "invalidate"], 0)
+        runtime_calls = {"app_read": 0, "app_write": 0}
 
-    def spy(cls, name):
-        original = getattr(cls, name)
+        def spy(cls, name, counts):
+            original = getattr(cls, name)
 
-        def counted(self, address=None, *args, **kwargs):
-            if cls is FramReadCache or self._kinds[address] is RegionKind.FRAM:
-                calls[name] += 1
-            return original(self, address, *args, **kwargs)
+            def counted(self, address, *args, **kwargs):
+                fram = cls is not Bus or bus._kinds[address] is RegionKind.FRAM
+                if fram and bus.attribution is Attribution.APP:
+                    counts[name] += 1
+                return original(self, address, *args, **kwargs)
 
-        monkeypatch.setattr(cls, name, counted)
+            monkeypatch.setattr(cls, name, counted)
 
-    for cls, name in ((Bus, "read"), (Bus, "write")):
-        spy(cls, name)
-    for name in ("access", "invalidate"):
-        spy(FramReadCache, name)
-    board = _board(source)
-    board.cpu.run()
-    fram_cache = board.bus.fram_cache
-    assert fram_cache.misses > 0 and fram_cache.invalidates > 0
-    assert calls == {"read": 0, "write": 0, "access": 0, "invalidate": 0}
-    monkeypatch.undo()
-    error, block = assert_same(both_ways(source))
-    assert error is None and block.bus.fram_cache.as_dict() == fram_cache.as_dict()
+        for cls, name in ((Bus, "read"), (Bus, "write")):
+            spy(cls, name, calls)
+        for name in ("access", "invalidate"):
+            spy(FramReadCache, name, calls)
+        for name in runtime_calls:
+            spy(DataCacheRuntime, name, runtime_calls)
+        board.cpu.run()
+        fram_cache = bus.fram_cache
+        assert calls == {"read": 0, "write": 0, "access": 0, "invalidate": 0}
+        if attach is None:
+            assert fram_cache.misses > 0 and fram_cache.invalidates > 0
+        else:
+            stats = bus.data_cache.stats
+            assert stats.fills > 0 and stats.writebacks > 0
+            assert runtime_calls["app_read"] > 0 and runtime_calls["app_write"] > 0
+        monkeypatch.undo()
+        error, block = assert_same(both_ways(source, attach=attach))
+        assert error is None
+        assert block.bus.fram_cache.as_dict() == fram_cache.as_dict()
 
 
 # -- the encoding table -------------------------------------------------------------
