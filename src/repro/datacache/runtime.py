@@ -93,11 +93,16 @@ class DataCacheRuntime:
         )
 
         #: One byte per address, nonzero inside the window: the bus
-        #: tests it before handing an application access over.
+        #: tests it before handing an application access over. A
+        #: write-back cache writes whole lines back, so it covers the
+        #: window's edge lines whole: a store to their other bytes would
+        #: go to FRAM and be undone by the line's next writeback.
         self.covered = bytearray(0x10000)
+        line = config.line_bytes
         for lo, hi in window:
-            for address in range(lo, hi):
-                self.covered[address] = 1
+            if not self._write_through:
+                lo, hi = lo & -line, (hi + line - 1) & -line
+            self.covered[lo:hi] = bytes([1]) * (hi - lo)
         self.window = tuple(tuple(pair) for pair in window)
 
     @property

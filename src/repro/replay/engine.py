@@ -36,6 +36,16 @@ CPU. The division of labour:
   by the lines their sets hold on entry. The split is timed as
   ``prepare_seconds``, apart from the walk's ``seconds``: a grid pays
   it once per geometry, a single replay once.
+* **A write-through data cache in the same walk.** The accesses its
+  window covers are classified when the stream compiles. A covered
+  read that hits touches no FRAM, and only a miss changes which lines
+  are resident, so a segment whose covered reads all have their lines
+  resident on entry takes the split and the memo with its covered
+  reads left out, and costs the real
+  :class:`~repro.datacache.cache.DataCacheModel` one hit per covered
+  access. A segment that may miss is walked against the live caches,
+  through the real runtime's ``app_read``/``app_write``, so its fills
+  and bypasses charge exactly as in execution.
 
 Totals (counters, stalls, energy, stats) are bit-identical to full
 execution because every accounting quantity is a sum over the same
@@ -51,6 +61,7 @@ from itertools import chain
 
 from repro import systems
 from repro.core.transform import ACTIVE_TABLE, REDIR_TABLE
+from repro.datacache.system import data_window
 from repro.isa.registers import PC
 from repro.machine.fram_cache import FramReadCache
 from repro.machine.memory import (
@@ -61,8 +72,10 @@ from repro.machine.memory import (
 )
 from repro.machine.trace import (
     FETCH,
+    READ,
     READ_BASE,
     REGIONS,
+    WRITE,
     WRITE_BASE,
     Attribution,
     access_slot,
@@ -96,6 +109,16 @@ _WR_FRAM_B = 5
 _WR_DEBUG = 6
 _WR_PUTC = 7
 _WR_HALT = 8
+# A baseline-shaped stream's FRAM accesses inside the data window
+# (`repro.datacache.system.data_window`), which a write-through data
+# cache covers. With no data cache attached they act as `_RD_FRAM`,
+# `_WR_FRAM_W` and `_WR_FRAM_B` do; under one a covered read is no
+# FRAM-cache lookup, since a hit is served from SRAM, and a covered
+# write still stores to FRAM.
+_RD_COVERED = 9
+_WR_COVERED_W = 10
+_WR_COVERED_B = 11
+_FRAM_WRITES = frozenset((_WR_FRAM_W, _WR_FRAM_B, _WR_COVERED_W, _WR_COVERED_B))
 
 
 #: Records a segment spans before a backward step may end it.
@@ -126,33 +149,57 @@ class _StreamTotals:
     #: every fetch comes from SRAM; each record fetched from FRAM adds
     #: its own ``fram_contention``.
     contention: int
+    #: Reads inside the data window; under a data cache a hit is an
+    #: application SRAM read and touches no FRAM.
+    covered_reads: int
+    #: All the contention when no covered read touches FRAM, fetches
+    #: included: a data cache replays only baseline-shaped streams,
+    #: whose records are fetched from fixed regions.
+    covered_contention: int
 
 
-def _prepare(ops, base, shift, nsets, made):
+def _prepare(ops, base, shift, nsets, made, served):
     """A segment's *ops* split for one FRAM read-cache geometry.
 
-    Returns ``(lookups, data, hits)``. ``lookups`` are the
+    Returns ``(lookups, data, hits, need)``. ``lookups`` are the
     segment's effects on the cache, in order: ``(False, tag, set)`` for
     a line read or fetched, ``(True, tag, set)`` for a line written
     (invalidated). ``data`` are the positions in *ops* of its effects on
-    memory and the debug ports, and of the redirection-table reads the
-    walk acts on. None of this depends on the values the ops write, so
-    it serves every segment of the same shape. ``hits``
+    memory and the debug ports, and of the redirection-table reads and
+    covered reads the walk acts on; ``None`` if that is every op but the
+    fetches, so the segment's ``sram_ops``. None of this depends on the
+    values the ops write, so it serves every segment of the same shape.
+    ``hits``
     counts the lookups known to hit without one: a fetch's words past
     the first on each of its lines and, since nothing but the segment
     touches the cache while it is walked, a line the segment read or
     fetched and has not since displaced from its set or written. *base*
     places the segment's fetches; *shift* is the line size's log2 and
-    *nsets* the set count.
-    *made* interns the lookups across a replay's segments.
+    *nsets* the set count. *served* is ``None``, or
+    ``(line_bytes, cutoff)`` of a write-through data cache: it serves
+    the covered reads, which are then data ops and no lookups, and
+    ``need`` is the data-cache lines the segment's covered reads --
+    and, with a sequential *cutoff*, its covered writes -- touch: the
+    lines that, resident on entry, leave the data cache nothing to
+    charge.
+    *made* interns, across a replay's segments, each lookup (keyed by
+    its tag, or by ``~tag`` for an invalidation) and each run of them.
     """
     lookups = []
     data = []
-    hits = 0
+    need = set()
+    hits = fetches = 0
     recent = [-1] * nsets  # per set, the line known most recently used
     for position, (op, addr, value, extra) in enumerate(ops):
-        if op == _FETCH or op == _RD_FRAM:
+        if served and op >= _RD_COVERED:
+            if op == _RD_COVERED or served[1]:
+                need.add(addr // served[0])
+            if op == _RD_COVERED:
+                data.append(position)
+                continue
+        if op == _FETCH or op == _RD_FRAM or op == _RD_COVERED:
             if op == _FETCH:
+                fetches += 1
                 first = (addr + base) >> shift
                 last = (addr + base + 2 * value - 2) >> shift
                 hits += value - 1 - (last - first)
@@ -166,16 +213,27 @@ def _prepare(ops, base, shift, nsets, made):
                     hits += 1
                 else:
                     recent[index] = tag
-                    lookups.append((False, tag, index))
+                    lookup = made.get(tag)
+                    if lookup is None:
+                        lookup = made[tag] = (False, tag, index)
+                    lookups.append(lookup)
             continue
-        if op == _WR_FRAM_W or op == _WR_FRAM_B:
+        if op in _FRAM_WRITES:
             tag = addr >> shift
             if recent[tag % nsets] == tag:
                 recent[tag % nsets] = -1
-            lookups.append((True, tag, tag % nsets))
+            lookup = made.get(~tag)
+            if lookup is None:
+                lookup = made[~tag] = (True, tag, tag % nsets)
+            lookups.append(lookup)
         data.append(position)
     lookups = tuple(lookups)
-    return made.setdefault(lookups, lookups) if lookups else None, tuple(data), hits
+    return (
+        made.setdefault(lookups, lookups) if lookups else None,
+        None if len(data) + fetches == len(ops) else tuple(data),
+        hits,
+        tuple(need) if need else None,
+    )
 
 
 def _simulate(lines, lookups, nways):
@@ -213,6 +271,74 @@ def _restore(lines, state):
         ways[:] = saved
 
 
+def _walk_live(bus, ops, fram_fetch):
+    """Walk one segment's *ops* (its ``fram_ops``) against the live FRAM
+    read cache and data cache, as execution charges them.
+
+    For a segment a data-cache miss may charge in: a fill or a gated
+    bypass runs the runtime's instructions in the middle of the record,
+    which restarts the bus's count of the instruction's FRAM touches.
+    So each covered access goes to the runtime's ``app_read`` or
+    ``app_write`` with ``bus._fram_touches`` as execution leaves it, and
+    every other FRAM access takes the bus's own timing. The bus charges
+    the stalls and the runtime tallies its accesses; what the stream's
+    tallies hold for them is taken back here.
+    """
+    counters = bus.counters
+    fc = bus.fram_cache
+    line_bytes = fc.line_bytes
+    cache = bus.data_cache
+    memory = bus.memory
+    wait = bus.wait_states
+    penalty = bus.contention_penalty
+    stall = 0  # the stalls the stream's tallies hold for the segment
+    reads = writes = 0  # covered reads and writes
+    touches = 0  # the record's FRAM touches, as the tallies count them
+    for op, addr, value, extra in ops:
+        if op == _FETCH:
+            stall += penalty * max(touches - 1, 0)
+            bus._fram_touches = touches = 0
+            if fram_fetch:
+                # ``Bus.account_fetch``'s timing, one lookup per line: a
+                # word on the line the word before it read is a hit that
+                # leaves the line most recently used.
+                bus._fram_touches = touches = value
+                first = addr // line_bytes
+                last = (addr + 2 * value - 2) // line_bytes
+                fc.hits += value - 1 - (last - first)
+                counters.stall_cycles += penalty * (value - 1)
+                for tag in range(first, last + 1):
+                    if not fc.access(tag * line_bytes):
+                        counters.stall_cycles += wait
+        elif op == _RD_COVERED:
+            reads += 1
+            cache.app_read(addr, addr & 1)
+        elif op == _RD_FRAM:
+            touches += 1
+            bus._fram_read_timing(addr)
+        elif op == _WR_COVERED_W or op == _WR_COVERED_B:
+            touches += 1
+            writes += 1
+            stall += wait
+            cache.app_write(addr, value, op == _WR_COVERED_B)
+        else:
+            if op == _WR_FRAM_W or op == _WR_FRAM_B:
+                touches += 1
+                stall += wait
+                bus._fram_write_timing(addr)
+            if op == _WR_FRAM_W or op == _WR_SRAM_W:
+                memory.write_word(addr, value)
+            elif op == _WR_FRAM_B or op == _WR_SRAM_B:
+                memory.write_byte(addr, value)
+            else:
+                bus._mmio_write(addr, value)
+    stall += penalty * max(touches - 1, 0)
+    counters.stall_cycles -= stall
+    accesses = counters.access_counts
+    accesses[access_slot(Attribution.APP, RegionKind.SRAM, READ)] -= reads
+    accesses[access_slot(Attribution.APP, RegionKind.FRAM, WRITE)] -= writes
+
+
 class _Record:
     """One distinct trace record, classified for the stream compiler."""
 
@@ -226,13 +352,26 @@ class _Record:
         "fram_ops",
         "touches",
         "fram_contention",
+        "covered_reads",
+        "covered_contention",
         "moves_stacks",
         "slots",
         "uses",
     )
 
     def __init__(
-        self, key, shape, pc, words, cycles, ops, fram_ops, touches, moves_stacks, slots
+        self,
+        key,
+        shape,
+        pc,
+        words,
+        cycles,
+        ops,
+        fram_ops,
+        touches,
+        covered_reads,
+        moves_stacks,
+        slots,
     ):
         self.key = key  # (func, fram_fetch)
         #: Equal for records equal but for the values they write.
@@ -246,6 +385,10 @@ class _Record:
         self.touches = touches
         #: What fetching it from FRAM adds to the contention.
         self.fram_contention = words if touches else words - 1
+        #: Its reads inside the data window, and ``fram_contention``
+        #: when they touch no FRAM.
+        self.covered_reads = covered_reads
+        self.covered_contention = words if touches - covered_reads else words - 1
         self.moves_stacks = moves_stacks
         #: The ``access_counts`` slot of each data access.
         self.slots = slots
@@ -303,7 +446,8 @@ class ReplayEngine:
         self.prepare_seconds = 0.0
         self._artifacts = None
         self._compiled = None
-        #: Per FRAM read-cache geometry: the segments split by
+        #: Per FRAM read-cache geometry, and data cache's line size and
+        #: cutoff if one is attached: the segments split by
         #: :func:`_prepare`, by ops and by shape, and the tuples they
         #: share.
         self._prepared = {}
@@ -369,7 +513,9 @@ class ReplayEngine:
         ``sram_ops`` holds its data accesses alone (``None`` if there
         are none), for when it is fetched from SRAM; ``fram_ops`` puts
         a ``_FETCH`` before each record's data accesses, for when it is
-        fetched from FRAM. ``tail`` is its last three pcs, newest first.
+        fetched from FRAM. Accesses inside the data window of a
+        baseline-shaped stream get the covered opcodes. ``tail`` is its
+        last three pcs, newest first.
         ``shape`` is equal for segments equal but for the values they
         write. Equal op lists and shapes are one object.
         """
@@ -391,6 +537,12 @@ class ReplayEngine:
             redir_hi = redir_lo + 2 * nfuncs
             active_lo = symbols[ACTIVE_TABLE]
             active_hi = active_lo + 2 * nfuncs
+        # A write-through data cache replays over a baseline-shaped
+        # stream, and its window depends only on the linked image.
+        window = bytearray(0x10000)
+        if self.system in ("baseline", DATACACHE):
+            for lo, hi in data_window(linked):
+                window[lo:hi] = bytes([1]) * (hi - lo)
         mmio_write_ops = {
             DEBUG_OUT_PORT: _WR_DEBUG,
             HALT_PORT: _WR_HALT,
@@ -419,7 +571,7 @@ class ReplayEngine:
                         f"trace executes from {kind.value} at {pc:#06x}"
                     )
                 fram_fetch = kind is fram
-            touches = 0
+            touches = covered_reads = 0
             moves_stacks = False
             ops = []
             slots = []
@@ -438,7 +590,9 @@ class ReplayEngine:
                     elif kind is fram:
                         touches += 1
                         if flags & ACC_BYTE:
-                            op = _WR_FRAM_B
+                            op = _WR_COVERED_B if window[addr] else _WR_FRAM_B
+                        elif window[addr]:
+                            op = _WR_COVERED_W
                         else:
                             op = _WR_FRAM_W
                             if active_lo <= addr < active_hi:
@@ -451,7 +605,10 @@ class ReplayEngine:
                     if kind is fram:
                         touches += 1
                         op = _RD_FRAM
-                        if redir_lo <= addr < redir_hi:
+                        if window[addr]:
+                            op = _RD_COVERED
+                            covered_reads += 1
+                        elif redir_lo <= addr < redir_hi:
                             extra = (addr - redir_lo) >> 1
                 if op is not None:
                     ops.append((op, addr, value, extra))
@@ -468,6 +625,7 @@ class ReplayEngine:
                 tuple(ops),
                 (fetch, *ops),
                 touches,
+                covered_reads,
                 moves_stacks,
                 slots,
             )
@@ -536,6 +694,7 @@ class ReplayEngine:
         if run:
             close()
         instructions = fetch_words = cycles_total = contention = 0
+        covered_reads = covered_contention = 0
         data_accesses = Counter()
         for known in described.values():
             uses = known.uses
@@ -544,6 +703,12 @@ class ReplayEngine:
             cycles_total += uses * known.cycles
             if known.touches > 1:
                 contention += uses * (known.touches - 1)
+            left = known.touches - known.covered_reads
+            if left > 1:
+                covered_contention += uses * (left - 1)
+            if known.key[1]:  # fetched from FRAM
+                covered_contention += uses * known.covered_contention
+            covered_reads += uses * known.covered_reads
             for slot in known.slots:
                 data_accesses[slot] += uses
         compiled = (
@@ -555,6 +720,8 @@ class ReplayEngine:
                 data_accesses=tuple(sorted(data_accesses.items())),
                 fram_writes=data_accesses[WRITE_BASE + app_row + fram.slot],
                 contention=contention,
+                covered_reads=covered_reads,
+                covered_contention=covered_contention,
             ),
         )
         self._compiled = compiled
@@ -583,10 +750,11 @@ class ReplayEngine:
         is free for every system because that cache is timing-only.
         *datacache* -- a :class:`~repro.datacache.cache.DataCacheConfig`
         -- attaches a write-through data cache over a baseline-shaped
-        stream (baseline or datacache traces); write-back is refused by
-        validity because it decouples durable FRAM writes from the
-        recorded store events. Invalid requests raise
-        :class:`ReplayRefused` without touching the models.
+        stream (baseline or datacache traces), replayed in the same walk
+        as every other configuration; write-back is refused by validity
+        because it decouples durable FRAM writes from the recorded store
+        events. Invalid requests raise :class:`ReplayRefused` without
+        touching the models.
         """
         config = self.header.get("capture_config") or {}
         if policy is AS_CAPTURED:
@@ -669,10 +837,7 @@ class ReplayEngine:
 
         prepared = self.prepare_seconds
         started = time.perf_counter()
-        if datacache is not None:
-            hook_invocations = self._walk_via_bus(board)
-        else:
-            hook_invocations = self._walk(board, runtime, compiled)
+        hook_invocations = self._walk(board, runtime, compiled)
         seconds = time.perf_counter() - started
         seconds -= self.prepare_seconds - prepared
 
@@ -712,7 +877,17 @@ class ReplayEngine:
             self.metrics.counter("replay.refused").inc()
 
     def _walk(self, board, runtime, compiled):
-        """The hot loop: one pass over the compiled event stream."""
+        """The hot loop: one pass over the compiled event stream.
+
+        With a write-through data cache attached, the covered reads
+        leave the split: a segment whose covered reads -- and, with a
+        sequential cutoff, covered writes -- all have their lines
+        resident on entry takes the split and the memo as any other, and
+        its covered accesses cost the model's hit and nothing more. A
+        hit touches no FRAM, and only a miss changes residency: writes
+        never allocate. Any other segment is walked against the live
+        caches (:func:`_walk_live`).
+        """
         stream, totals = compiled
         bus = board.bus
         data = board.memory.data
@@ -736,13 +911,24 @@ class ReplayEngine:
             handler = runtime.handler_addr
             stacks = [[] for _ in runtime.meta.functions]
         history = (0, 0, 0)
+        cache = bus.data_cache
+        served = None
+        sram_writes = 0  # the data cache's write hits
+        if cache is not None:
+            model = cache.model
+            hit = model.hit
+            miss = cache._miss
+            config = model.config
+            offset = config.line_bytes - 1
+            served = (config.line_bytes, config.seq_cutoff_lines > 0)
+            resident = {line.tag for line in model.resident_lines()}
 
         hits = misses = invals = 0
-        contention = totals.contention
+        contention = totals.contention if cache is None else totals.covered_contention
         fetch_fram = instr_fram = 0
         hook_invocations = 0
         prepared, shapes, made = self._prepared.setdefault(
-            (shift, nsets, nways), ({}, {}, {})
+            (shift, nsets, nways, served), ({}, {}, {})
         )
         effects = {}
         state = _state(lines)
@@ -782,12 +968,14 @@ class ReplayEngine:
                 # A function is placed wholly in SRAM or wholly in FRAM.
                 fram_fetch = base + pc >= fram_start
             key = id(ops)
+            sram_ops = ops
             if fram_fetch:
                 instr_fram += records
                 fetch_fram += words
-                contention += fram_contention
+                if cache is None:  # else the covered totals hold it
+                    contention += fram_contention
                 ops = fram_ops
-                key = (id(ops), base)
+                key = (id(ops), base) if base else id(ops)
             if ops is None:
                 if track_history:
                     history = (tail + history)[:3]
@@ -799,13 +987,25 @@ class ReplayEngine:
                 split = shapes.get(shape_key)
                 if split is None:
                     split = shapes[shape_key] = _prepare(
-                        ops, base, shift, nsets, made
+                        ops, base, shift, nsets, made, served
                     )
-                lookups, positions, known_hits = split
-                data_ops = tuple([ops[index] for index in positions]) or None
-                split = prepared[key] = (lookups, data_ops, known_hits)
+                lookups, positions, known_hits, need = split
+                if positions is not None:
+                    data_ops = tuple([ops[index] for index in positions])
+                    split = (lookups, data_ops, known_hits, need)
+                prepared[key] = split
                 self.prepare_seconds += time.perf_counter() - started
-            lookups, data_ops, known_hits = split
+            lookups, data_ops, known_hits, need = split
+            if data_ops is None:
+                data_ops = sram_ops
+            if need is not None and not resident.issuperset(need):
+                if not synced:
+                    _restore(lines, state)
+                _walk_live(bus, fram_ops, fram_fetch)
+                state = _state(lines)
+                synced = True
+                resident = {line.tag for line in model.resident_lines()}
+                continue
             hits += known_hits
             if lookups is not None:
                 # The lookups' effect is a function of the cache's lines
@@ -831,7 +1031,7 @@ class ReplayEngine:
                 hits += effect[1]
                 misses += effect[2]
                 invals += effect[3]
-            if data_ops is not None:
+            if data_ops:
                 pending = -1
                 for op, addr, value, extra in data_ops:
                     if op == _WR_FRAM_W or op == _WR_SRAM_W:
@@ -843,6 +1043,22 @@ class ReplayEngine:
                                 stack.pop()
                         data[addr] = value & 0xFF
                         data[addr + 1] = value >> 8
+                    elif op == _WR_COVERED_W or op == _WR_COVERED_B:
+                        if cache is not None:
+                            line = hit(addr, True)
+                            if line is None:
+                                miss(addr, True)  # no-allocate: a tally only
+                            else:
+                                sram_writes += 1
+                                slot = line.sram + (addr & offset)
+                                data[slot] = value & 0xFF
+                                if op == _WR_COVERED_W:
+                                    data[slot + 1] = value >> 8
+                        data[addr] = value & 0xFF
+                        if op == _WR_COVERED_W:
+                            data[addr + 1] = value >> 8
+                    elif op == _RD_COVERED:
+                        hit(addr, False)
                     elif op == _RD_FRAM:
                         pending = extra
                     elif op == _WR_FRAM_B or op == _WR_SRAM_B:
@@ -852,6 +1068,8 @@ class ReplayEngine:
                     elif op == _WR_PUTC:
                         output_chars.append(chr(value & 0xFF))
                     else:  # _WR_HALT
+                        if cache is not None:
+                            cache.on_halt()
                         bus.halted = True
                 if pending >= 0:
                     address = redir_base + (pending << 1)
@@ -882,12 +1100,18 @@ class ReplayEngine:
         accesses[access_slot(app, sram, FETCH)] += totals.fetch_words - fetch_fram
         for slot, count in totals.data_accesses:
             accesses[slot] += count
+        if cache is not None:
+            # The fast path's covered reads were hits; the live walk
+            # took back the others.
+            accesses[access_slot(app, fram, READ)] -= totals.covered_reads
+            accesses[access_slot(app, sram, READ)] += totals.covered_reads
         instructions = counters.instruction_counts
         instructions[instruction_slot(app, fram)] += instr_fram
         instructions[instruction_slot(app, sram)] += (
             totals.instructions - instr_fram
         )
         counters.cycle_counts[app.slot] += totals.cycles
+        accesses[access_slot(Attribution.RUNTIME, sram, WRITE)] += sram_writes
         counters.stall_cycles += (
             misses * wait
             + totals.fram_writes * wait
@@ -899,44 +1123,3 @@ class ReplayEngine:
         fc.misses += misses
         fc.invalidates += invals
         return hook_invocations
-
-    def _walk_via_bus(self, board):
-        """The data-cache walk: re-issue every event through the real bus.
-
-        A data cache cannot use :meth:`_walk`'s local tallies: its hit
-        path, fill/writeback chargers and cleaning-policy drains share
-        per-instruction contention state with the application access
-        that triggered them (``begin_instruction`` resets the FRAM touch
-        count, and the runtime's RUNTIME/MEMCPY traffic lands *inside*
-        the triggering instruction). So this walk mirrors the CPU's
-        step sequence exactly -- ``begin_instruction``, fetch
-        accounting, data accesses, ``record_instruction`` -- against
-        the genuine bus, and the interception, chargers, FRAM read
-        cache and contention interleave precisely as execution did.
-        Slower than :meth:`_walk`, but still decode/dispatch-free.
-
-        Recorded reads carry no byte flag; ``byte=addr & 1`` is safe
-        because byte- and word-reads account identically and replay
-        discards the value.
-        """
-        bus = board.bus
-        begin = bus.begin_instruction
-        account = bus.account_fetch
-        read = bus.read
-        write = bus.write
-        record = board.counters.record_instruction
-        kinds = bus._kinds
-        app = Attribution.APP
-        for entry in self.document.records:
-            if entry is None:
-                raise ReplayError("hook marker in a baseline-shaped trace")
-            _func, pc, words, cycles, accesses = entry
-            begin()
-            account(pc, words)
-            for flags, addr, value in accesses:
-                if flags & ACC_WRITE:
-                    write(addr, value, byte=bool(flags & ACC_BYTE))
-                else:
-                    read(addr, byte=bool(addr & 1))
-            record(app, kinds[pc], cycles)
-        return 0

@@ -436,6 +436,32 @@ def test_load_rewrites_a_later_instruction_of_the_running_block():
     assert board.bus.data_cache.stats.writebacks >= 1
 
 
+def test_write_back_keeps_a_store_to_the_window_edge_line():
+    # The window starts 4 bytes into the line at 0x9800. A store to
+    # 0x9800, outside the window but on a dirty cached line, must
+    # survive that line's writeback when the load from 0x9904 evicts it.
+    error, board = assert_same(
+        both_ways(
+            """
+            .func __start
+                MOV #0x3000, SP
+                MOV &0x9804, R6
+                MOV #0x5555, &0x9804
+                MOV #0x1234, &0x9800
+                MOV &0x9904, R6
+                MOV &0x9800, R12
+                MOV R12, &0x0200
+                MOV #1, &0x0202
+            .endfunc
+            """,
+            attach=_data_cache("back", (0x9804, 0x9810), (0x9904, 0x9910)),
+        )
+    )
+    assert error is None
+    assert board.bus.debug_words == [0x1234]
+    assert board.bus.data_cache.stats.evict_writebacks == 1
+
+
 def test_halt_store_mid_block_stops_there():
     error, board = assert_same(
         both_ways(
